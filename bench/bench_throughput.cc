@@ -12,11 +12,13 @@
 //   bench_throughput --n=100000 --d=1024 --k=8 --shards=8 --threads=8
 //   bench_throughput --n=400 --d=64 --k=2 --json
 //
-// --wire-version picks the batch framing (2 = checksummed FNV-1a trailer,
-// 1 = legacy) so the v2 encode/ingest overhead is measurable; with
-// --corrupt-rate the ingest stage runs a detection-driven retransmission
-// loop (the receiver's kDataLoss verdict triggers the resend) and the
-// retransmission count lands in the JSON line next to wire_version.
+// With --corrupt-rate the ingest stage runs a detection-driven
+// retransmission loop (the receiver's kDataLoss verdict on the batch
+// checksum triggers the resend) and the retransmission count lands in the
+// JSON line next to corrupt_rate.
+//
+// The stage loop is deliberately its own, not sim::DriveFleet: it times
+// tick, encode and ingest separately, which the shared loop does not.
 
 #include <cmath>
 #include <cstdint>
@@ -67,13 +69,11 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
                                   uint64_t seed, core::DedupPolicy dedup,
                                   core::DedupWindowPolicy window,
                                   core::CheckpointMode checkpoint_mode,
-                                  core::WireVersion wire_version,
                                   double corrupt_rate) {
   PipelineStats stats;
   WallTimer timer;
   FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
                       core::ClientFleet::Create(config, n, seed, pool));
-  fleet.set_wire_version(wire_version);
   stats.create_seconds = timer.ElapsedSeconds();
 
   FR_ASSIGN_OR_RETURN(
@@ -114,7 +114,7 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
 
     timer.Restart();
     FR_ASSIGN_OR_RETURN(const std::string bytes,
-                        core::EncodeReportBatch(batch, wire_version));
+                        core::EncodeReportBatch(batch));
     stats.encode_seconds += timer.ElapsedSeconds();
     stats.wire_bytes += static_cast<int64_t>(bytes.size());
     stats.reports += static_cast<int64_t>(batch.size());
@@ -122,8 +122,8 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
     timer.Restart();
     if (channel.has_value()) {
       FR_RETURN_NOT_OK(sim::DeliverEncodedWithRetransmission(
-          aggregator, bytes, &*channel, wire_version,
-          /*retransmit_budget=*/32, pool, &delivery));
+          aggregator, bytes, &*channel, /*retransmit_budget=*/32, pool,
+          &delivery));
     } else {
       FR_RETURN_NOT_OK(aggregator.IngestEncoded(bytes, pool));
     }
@@ -195,7 +195,6 @@ int Run(int argc, char** argv) {
   bool dedup = false;
   int64_t dedup_window = 0;
   std::string checkpoint_mode = "full";
-  int64_t wire_version = 2;
   double corrupt_rate = 0.0;
   const core::StoreConfig sketch_defaults;
   std::string store_name = "dense";
@@ -212,7 +211,7 @@ int Run(int argc, char** argv) {
   parser.AddDouble("eps", &eps, "privacy budget");
   parser.AddString("randomizer", &randomizer_name,
                    "sequence randomizer driving the fleet (future_rand | "
-                   "independent | bun | adaptive)");
+                   "independent | bun | adaptive | lgrr | lolh | loloha)");
   parser.AddString("protocol", &protocol_name,
                    "optionally also time one full RunProtocol sim pass of "
                    "this protocol kind");
@@ -229,15 +228,10 @@ int Run(int argc, char** argv) {
   parser.AddString("checkpoint-mode", &checkpoint_mode,
                    "full | delta: delta adds a stage that dirties ~1% of "
                    "the shards and serializes only those");
-  parser.AddInt64("wire-version", &wire_version,
-                  "report batch framing: 2 = checksummed (FNV-1a trailer, "
-                  "receiver-detected corruption), 1 = legacy — run both to "
-                  "measure the v2 encode/ingest overhead");
   parser.AddDouble("corrupt-rate", &corrupt_rate,
                    "P(one bit of an outgoing batch flips): the ingest "
                    "stage then runs the NACK retransmission loop and "
-                   "reports the retransmission count; requires --dedup "
-                   "under --wire-version=1");
+                   "reports the retransmission count");
   parser.AddString("store", &store_name,
                    "per-shard aggregate storage: dense (exact) | sketch "
                    "(count-sketch levels, bounded extra error, O(levels*R*W) "
@@ -285,23 +279,9 @@ int Run(int argc, char** argv) {
                  parser.Usage("bench_throughput").c_str());
     return 2;
   }
-  if (wire_version != 1 && wire_version != 2) {
+  if (corrupt_rate < 0.0 || corrupt_rate > 1.0) {
     std::fprintf(stderr,
-                 "InvalidArgument: --wire-version must be 1 or 2\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
-  }
-  const core::WireVersion version = wire_version == 2
-                                        ? core::WireVersion::kV2
-                                        : core::WireVersion::kV1;
-  if (corrupt_rate < 0.0 || corrupt_rate > 1.0 ||
-      (corrupt_rate > 0.0 && wire_version == 1 && !dedup)) {
-    // A corrupted v1 batch can partially apply before its decode error, so
-    // the retransmission double-delivers unless ingest is idempotent; v2
-    // rejects atomically and needs no dedup.
-    std::fprintf(stderr,
-                 "InvalidArgument: --corrupt-rate must be in [0,1] and "
-                 "requires --dedup under --wire-version=1\n%s",
+                 "InvalidArgument: --corrupt-rate must be in [0,1]\n%s",
                  parser.Usage("bench_throughput").c_str());
     return 2;
   }
@@ -334,14 +314,14 @@ int Run(int argc, char** argv) {
                                  dedup ? core::DedupPolicy::kIdempotent
                                        : core::DedupPolicy::kStrict,
                                  core::DedupWindowPolicy{dedup_window},
-                                 mode, version, corrupt_rate);
+                                 mode, corrupt_rate);
   if (!stats.ok()) {
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
     return 1;
   }
 
   // Optional second measurement: the full simulation runner (workload
-  // generation excluded) for any of the eight protocol kinds.
+  // generation excluded) for any of the eleven protocol kinds.
   double sim_seconds = 0.0;
   if (!protocol_name.empty()) {
     const auto protocol = sim::ParseProtocolKind(protocol_name);
@@ -391,7 +371,6 @@ int Run(int argc, char** argv) {
         .Add("store_bytes_per_shard", store_bytes_per_shard)
         .Add("dedup", dedup ? 1 : 0)
         .Add("dedup_window", dedup_window)
-        .Add("wire_version", wire_version)
         .Add("corrupt_rate", corrupt_rate)
         .Add("checksum_rejected", stats->checksum_rejected)
         .Add("batches_retransmitted", stats->retransmissions)

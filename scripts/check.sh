@@ -16,7 +16,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # stage's records/sec against the committed baseline floors.
 "$BUILD_DIR"/bench/bench_throughput --n=400 --d=64 --k=2 --shards=3 \
   --threads=2 --protocol=future_rand --dedup --checkpoint-mode=delta \
-  --wire-version=2 --corrupt-rate=0.2 --json \
+  --corrupt-rate=0.2 --json \
   > "$BUILD_DIR/bench_smoke.json"
 bash scripts/check_bench_regression.sh "$BUILD_DIR/bench_smoke.json"
 
@@ -24,7 +24,7 @@ bash scripts/check_bench_regression.sh "$BUILD_DIR/bench_smoke.json"
 # floors (bench/baseline/bench_smoke_sketch_baseline.json).
 "$BUILD_DIR"/bench/bench_throughput --n=400 --d=64 --k=2 --shards=3 \
   --threads=2 --protocol=future_rand --dedup --checkpoint-mode=delta \
-  --wire-version=2 --corrupt-rate=0.2 \
+  --corrupt-rate=0.2 \
   --store=sketch --sketch-rows=3 --sketch-width=16 --json \
   > "$BUILD_DIR/bench_smoke_sketch.json"
 bash scripts/check_bench_regression.sh "$BUILD_DIR/bench_smoke_sketch.json" \

@@ -8,6 +8,19 @@
 
 namespace futurerand {
 
+namespace {
+
+// std::lgamma writes the global `signgam`, a data race when pooled workers
+// build randomizer specs concurrently. lgamma_r returns the sign through
+// an out-parameter instead and runs the same libm kernel, so results are
+// bit-identical.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 int Log2Floor(uint64_t x) {
@@ -25,9 +38,9 @@ double LogBinomial(int64_t n, int64_t i) {
   if (i == 0 || i == n) {
     return 0.0;
   }
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(i) + 1.0) -
-         std::lgamma(static_cast<double>(n - i) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(i) + 1.0) -
+         LogGamma(static_cast<double>(n - i) + 1.0);
 }
 
 double LogAddExp(double a, double b) {

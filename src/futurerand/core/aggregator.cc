@@ -225,17 +225,15 @@ Status ShardedAggregator::IngestEncoded(std::string_view bytes,
   }
   FR_ASSIGN_OR_RETURN(WireBatchKind kind, PeekBatchKind(bytes));
   switch (kind) {
-    case WireBatchKind::kRegistration:
     case WireBatchKind::kRegistrationV2: {
-      // The v2 decoder verifies the FNV-1a trailer before parsing any
-      // record, so a corrupted v2 batch is rejected here atomically with
+      // The decoder verifies the FNV-1a trailer before parsing any
+      // record, so a corrupted batch is rejected here atomically with
       // kDataLoss — the NACK a sender retransmits on — and never reaches
       // a shard.
       FR_ASSIGN_OR_RETURN(std::vector<RegistrationMessage> batch,
                           DecodeRegistrationBatch(bytes));
       return IngestRegistrations(batch, pool, outcome);
     }
-    case WireBatchKind::kReport:
     case WireBatchKind::kReportV2: {
       FR_ASSIGN_OR_RETURN(std::vector<ReportMessage> batch,
                           DecodeReportBatch(bytes));

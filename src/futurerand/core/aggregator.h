@@ -113,17 +113,15 @@ class ShardedAggregator {
                        ThreadPool* pool = nullptr,
                        IngestOutcome* outcome = nullptr);
 
-  /// Ingests raw wire bytes — a registration or report batch, v1 or v2,
-  /// detected from the header — with exactly one decode and no caller-side
+  /// Ingests raw wire bytes — a registration or report batch, detected
+  /// from the header — with exactly one decode and no caller-side
   /// fan-out. Snapshot and delta blobs are rejected: restoring state is
   /// Restore's job, not an ingestion side effect.
   ///
   /// Corruption verdict (the NACK a sender keys retransmission off): a
-  /// batch garbled in flight fails with StatusCode::kDataLoss — always for
-  /// v2 (the FNV-1a trailer is verified before any record is decoded, so
-  /// nothing is applied), and for header-level damage on any version. A v1
-  /// payload flip may instead fail decode with kInvalidArgument or, worse,
-  /// still decode and silently apply — the gap v2 exists to close.
+  /// batch garbled in flight fails with StatusCode::kDataLoss and applies
+  /// nothing: the FNV-1a trailer is verified before any record is decoded.
+  /// The retired v1 transport kinds 1-2 fail the same way.
   Status IngestEncoded(std::string_view bytes, ThreadPool* pool = nullptr,
                        IngestOutcome* outcome = nullptr);
 

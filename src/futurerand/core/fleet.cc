@@ -166,14 +166,14 @@ Result<ReportBatch> ClientFleet::AdvanceTickDerivatives(
 }
 
 std::string ClientFleet::EncodeRegistrations() const {
-  return EncodeRegistrationBatch(registrations_, wire_version_);
+  return EncodeRegistrationBatch(registrations_);
 }
 
 Result<std::string> ClientFleet::AdvanceTickEncoded(
     std::span<const int8_t> states) {
   ReportBatch batch;
   FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
-  return EncodeReportBatch(batch, wire_version_);
+  return EncodeReportBatch(batch);
 }
 
 void ClientFleet::TickValidated(std::span<const int8_t> states,

@@ -82,22 +82,14 @@ class ClientFleet {
   Result<ReportBatch> AdvanceTickDerivatives(
       std::span<const int8_t> derivatives);
 
-  /// The wire version the Encode* conveniences below emit. Defaults to
-  /// kV2 (checksummed batches, so receivers detect in-flight corruption);
-  /// set kV1 to emulate a legacy sender in a mixed fleet. Takes effect on
-  /// the next Encode* call; decoded-batch APIs (AdvanceTick) are
-  /// unaffected.
-  void set_wire_version(WireVersion version) { wire_version_ = version; }
-  WireVersion wire_version() const { return wire_version_; }
-
-  /// EncodeRegistrationBatch(registrations(), wire_version()) — the bytes
+  /// EncodeRegistrationBatch(registrations()) — the bytes
   /// a deployment ships once before any report.
   std::string EncodeRegistrations() const;
 
   /// AdvanceTick + EncodeReportBatch in one call: advances the fleet one
-  /// period and returns the tick's reports as wire bytes in
-  /// wire_version() framing. Same error contract as AdvanceTick (a failed
-  /// call leaves the fleet untouched).
+  /// period and returns the tick's reports as checksummed wire bytes. Same
+  /// error contract as AdvanceTick (a failed call leaves the fleet
+  /// untouched).
   Result<std::string> AdvanceTickEncoded(std::span<const int8_t> states);
 
   /// Number of clients in the fleet.
@@ -152,7 +144,6 @@ class ClientFleet {
 
   ProtocolConfig config_;
   ThreadPool* pool_;  // not owned; may be null
-  WireVersion wire_version_ = WireVersion::kV2;
   int64_t first_client_id_;
   int64_t time_ = 0;
   int64_t reports_emitted_ = 0;

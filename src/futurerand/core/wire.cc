@@ -92,7 +92,8 @@ Result<char> CheckHeader(std::string_view bytes) {
     return Status::DataLoss("unsupported wire version");
   }
   const char kind = bytes[4];
-  if (kind < kKindRegistration || kind > kKindFleetLongState) {
+  // The retired v1 transport kinds (1-2) are as unknown as kind 10.
+  if (kind < kKindServerState || kind > kKindFleetLongState) {
     return Status::DataLoss("unknown batch kind");
   }
   if (version != KindWireVersion(kind)) {
@@ -145,9 +146,7 @@ using wire_internal::GetVarint64;
 using wire_internal::PutVarint64;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
-using wire_internal::kKindRegistration;
 using wire_internal::kKindRegistrationV2;
-using wire_internal::kKindReport;
 using wire_internal::kKindReportV2;
 
 void AppendBatchHeader(char kind, size_t count, std::string* out) {
@@ -155,19 +154,16 @@ void AppendBatchHeader(char kind, size_t count, std::string* out) {
   PutVarint64(count, out);
 }
 
-// Strips a validated transport header whose kind must be the v1 or v2
-// variant of one message type; for v2 the FNV-1a trailer is verified and
-// removed FIRST, so no record of a corrupted batch is ever parsed. On
-// success `*bytes` holds exactly the record payload (count varint first).
-Status ConsumeTransportHeader(char v1_kind, char v2_kind,
-                              std::string_view* bytes) {
-  FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(*bytes));
-  if (kind != v1_kind && kind != v2_kind) {
+// Strips a validated transport header of `kind` and its FNV-1a trailer,
+// verifying the trailer FIRST so no record of a corrupted batch is ever
+// parsed. On success `*bytes` holds exactly the record payload (count
+// varint first).
+Status ConsumeTransportHeader(char kind, std::string_view* bytes) {
+  FR_ASSIGN_OR_RETURN(const char found, wire_internal::CheckHeader(*bytes));
+  if (found != kind) {
     return Status::InvalidArgument("unexpected batch kind");
   }
-  if (kind == v2_kind) {
-    FR_RETURN_NOT_OK(wire_internal::ConsumeChecksum(bytes));
-  }
+  FR_RETURN_NOT_OK(wire_internal::ConsumeChecksum(bytes));
   bytes->remove_prefix(wire_internal::kHeaderSize);
   return Status::OK();
 }
@@ -177,10 +173,6 @@ Status ConsumeTransportHeader(char v1_kind, char v2_kind,
 Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
   FR_ASSIGN_OR_RETURN(const char kind, wire_internal::CheckHeader(bytes));
   switch (kind) {
-    case wire_internal::kKindRegistration:
-      return WireBatchKind::kRegistration;
-    case wire_internal::kKindReport:
-      return WireBatchKind::kReport;
     case wire_internal::kKindServerState:
       return WireBatchKind::kServerState;
     case wire_internal::kKindAggregatorState:
@@ -201,27 +193,22 @@ Result<WireBatchKind> PeekBatchKind(std::string_view bytes) {
 }
 
 std::string EncodeRegistrationBatch(
-    const std::vector<RegistrationMessage>& batch, WireVersion version) {
+    const std::vector<RegistrationMessage>& batch, WireVersion /*version*/) {
   std::string out;
-  AppendBatchHeader(version == WireVersion::kV2 ? kKindRegistrationV2
-                                                : kKindRegistration,
-                    batch.size(), &out);
+  AppendBatchHeader(kKindRegistrationV2, batch.size(), &out);
   int64_t previous_id = 0;
   for (const RegistrationMessage& message : batch) {
     PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
     PutVarint64(static_cast<uint64_t>(message.level), &out);
     previous_id = message.client_id;
   }
-  if (version == WireVersion::kV2) {
-    wire_internal::AppendChecksum(&out);
-  }
+  wire_internal::AppendChecksum(&out);
   return out;
 }
 
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes) {
-  FR_RETURN_NOT_OK(
-      ConsumeTransportHeader(kKindRegistration, kKindRegistrationV2, &bytes));
+  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindRegistrationV2, &bytes));
   FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
   std::vector<RegistrationMessage> batch;
   // A record costs >= 2 bytes, so a count claiming more than the remaining
@@ -249,11 +236,9 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
 }
 
 Result<std::string> EncodeReportBatch(
-    const std::vector<ReportMessage>& batch, WireVersion version) {
+    const std::vector<ReportMessage>& batch, WireVersion /*version*/) {
   std::string out;
-  AppendBatchHeader(version == WireVersion::kV2 ? kKindReportV2
-                                                : kKindReport,
-                    batch.size(), &out);
+  AppendBatchHeader(kKindReportV2, batch.size(), &out);
   int64_t previous_id = 0;
   int64_t previous_time = 0;
   for (const ReportMessage& message : batch) {
@@ -270,14 +255,12 @@ Result<std::string> EncodeReportBatch(
     previous_id = message.client_id;
     previous_time = message.time;
   }
-  if (version == WireVersion::kV2) {
-    wire_internal::AppendChecksum(&out);
-  }
+  wire_internal::AppendChecksum(&out);
   return out;
 }
 
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
-  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindReport, kKindReportV2, &bytes));
+  FR_RETURN_NOT_OK(ConsumeTransportHeader(kKindReportV2, &bytes));
   FR_ASSIGN_OR_RETURN(uint64_t count, GetVarint64(&bytes));
   std::vector<ReportMessage> batch;
   batch.reserve(static_cast<size_t>(

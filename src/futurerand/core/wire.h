@@ -6,17 +6,13 @@
 //
 //   [magic 'F','R','W'][version][kind][varint count][records...]
 //
-// Two container versions coexist on the wire:
-//
-//   v1 (kinds 1-2)  the original transport batches: no integrity trailer.
-//                   A bit flip that still decodes injects plausible records
-//                   silently; only decode failures are detectable.
-//   v2 (kinds 6-7)  the same record payload followed by an FNV-1a 64
-//                   trailer over every preceding byte (the snapshot
-//                   convention), so a receiver *detects* in-flight
-//                   corruption — every single-bit flip is rejected with
-//                   StatusCode::kDataLoss and the sender can retransmit
-//                   (NACK-style) instead of trusting an oracle.
+// Transport batches are container version 2 (kinds 6-7): the record
+// payload followed by an FNV-1a 64 trailer over every preceding byte (the
+// snapshot convention), so a receiver *detects* in-flight corruption —
+// every single-bit flip is rejected with StatusCode::kDataLoss and the
+// sender retransmits (NACK-style). The unchecksummed v1 transport kinds
+// 1-2 are retired: decoders reject them with kDataLoss like any unknown
+// kind, and their numbers are never reused.
 //
 // Records are delta-encoded: client ids and times are sorted-friendly
 // (consecutive ids/time steps cost one byte each), values pack into the
@@ -68,22 +64,17 @@ struct ReportMessage {
   friend bool operator==(const ReportMessage&, const ReportMessage&) = default;
 };
 
-/// The container version a batch is encoded with. Decoders accept both
-/// transparently (mixed fleets); encoders pick one:
-///   kV1 — compact, no integrity trailer (legacy senders).
-///   kV2 — +8 bytes per batch for an FNV-1a trailer; receivers detect
-///         every in-flight bit flip (kDataLoss) instead of ingesting
-///         poison records or relying on the simulator's oracle.
-enum class WireVersion { kV1 = 1, kV2 = 2 };
+/// The container version transport batches are encoded with; v2 is the
+/// only one left. It survives as a parameter only because a frozen
+/// benchmark harness passes it; a later benchmark change can drop it.
+enum class WireVersion { kV2 = 2 };
 
 /// The payloads the wire format carries. Registration and report batches
-/// are the transport messages (v1 unchecksummed, v2 checksummed); server
+/// are the (checksummed) transport messages; server
 /// and aggregator state are the checkpoint blobs of core/snapshot.h,
 /// sharing the same header scheme so one peek routes any FutureRand byte
 /// stream.
 enum class WireBatchKind {
-  kRegistration,       // v1 transport, no checksum
-  kReport,             // v1 transport, no checksum
   kServerState,        // one dense-store Server (core/snapshot.h)
   kAggregatorState,    // all ShardedAggregator shards (core/snapshot.h)
   kAggregatorDelta,    // only the shards dirtied since the last checkpoint
@@ -101,35 +92,36 @@ enum class WireBatchKind {
 /// shorter than a header.
 Result<WireBatchKind> PeekBatchKind(std::string_view bytes);
 
-/// Serializes a registration batch. Any ordering is accepted; batches
-/// sorted by client id encode smallest. kV2 appends the FNV-1a trailer.
+/// Serializes a registration batch with its FNV-1a trailer. Any ordering
+/// is accepted; batches sorted by client id encode smallest.
 std::string EncodeRegistrationBatch(
     const std::vector<RegistrationMessage>& batch,
-    WireVersion version = WireVersion::kV1);
+    WireVersion version = WireVersion::kV2);
 
-/// Parses a registration batch, v1 or v2 (detected from the header);
-/// rejects malformed input. For v2 the trailer is verified before any
-/// record is decoded, so a corrupted batch fails atomically with
-/// kDataLoss — no prefix of it is ever visible to the caller.
+/// Parses a registration batch; rejects malformed input. The trailer is
+/// verified before any record is decoded, so a corrupted batch fails
+/// atomically with kDataLoss — no prefix of it is ever visible to the
+/// caller.
 Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes);
 
-/// Serializes a report batch. Values must be -1 or +1 (checked). kV2
-/// appends the FNV-1a trailer.
+/// Serializes a report batch with its FNV-1a trailer. Values must be -1
+/// or +1 (checked).
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch,
-    WireVersion version = WireVersion::kV1);
+    WireVersion version = WireVersion::kV2);
 
-/// Parses a report batch, v1 or v2 (detected from the header); rejects
-/// malformed input. Same v2 atomicity and kDataLoss contract as
-/// DecodeRegistrationBatch.
+/// Parses a report batch; rejects malformed input. Same atomicity and
+/// kDataLoss contract as DecodeRegistrationBatch.
 Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes);
 
 namespace wire_internal {
 
 /// The raw kind bytes of the FRW header, one per WireBatchKind, each
 /// annotated with the container version that frames it. The assignments
-/// are normative (docs/FORMATS.md) — never renumber, only append.
+/// are normative (docs/FORMATS.md) — never renumber, only append. Kinds
+/// 1-2, the unchecksummed v1 transport batches, are retired, never reuse:
+/// CheckHeader rejects them with kDataLoss like any unknown kind.
 inline constexpr char kKindRegistration = 1;      // FRW v1
 inline constexpr char kKindReport = 2;            // FRW v1
 inline constexpr char kKindServerState = 3;       // FRW v1
@@ -162,9 +154,10 @@ inline constexpr size_t kHeaderSize = 5;
 void AppendHeader(char kind, std::string* out);
 
 /// Validates magic and the version/kind pairing and returns the raw kind
-/// byte without consuming anything. Bad magic or an undefined
-/// version/kind pair fails with kDataLoss (corruption at an ingest
-/// boundary); truncation below kHeaderSize with kInvalidArgument.
+/// byte without consuming anything. Bad magic, a retired or unknown kind,
+/// or an undefined version/kind pair fails with kDataLoss (corruption at
+/// an ingest boundary); truncation below kHeaderSize with
+/// kInvalidArgument.
 Result<char> CheckHeader(std::string_view bytes);
 
 /// Validates the header against `expected_kind` and strips it from `bytes`.

@@ -78,7 +78,7 @@ Status StreamClient::SendControl(ControlOp op) {
 Status DeliverEncodedOverStream(StreamClient& client,
                                 const std::string& pristine,
                                 sim::ChannelModel* channel,
-                                core::WireVersion wire_version,
+                                core::WireVersion /*version*/,
                                 int64_t retransmit_budget,
                                 sim::DeliveryMetrics* delivery) {
   const bool can_corrupt =
@@ -86,14 +86,13 @@ Status DeliverEncodedOverStream(StreamClient& client,
   // Mirrors the attempt body of sim::DeliverEncodedWithRetransmission,
   // with the server's reply standing in for the local ingest Status.
   auto attempt = [&]() -> Result<bool> {
-    bool oracle_corrupted = false;
     const std::string* to_send = &pristine;
     std::string bytes;
     if (can_corrupt) {
       // Corruption mutates a copy so the pristine bytes stay available
       // for a retransmission; skip the copy when no fault can occur.
       bytes = pristine;
-      oracle_corrupted = channel->MaybeCorrupt(&bytes);
+      channel->MaybeCorrupt(&bytes);
       to_send = &bytes;
     }
     Reply reply;
@@ -112,17 +111,12 @@ Status DeliverEncodedOverStream(StreamClient& client,
     if (reply.verdict == Verdict::kAck) {
       return true;
     }
-    if (reply.status == StatusCode::kDataLoss) {
-      ++delivery->batches_checksum_rejected;
-    }
-    const bool nack = wire_version == core::WireVersion::kV2
-                          ? reply.status == StatusCode::kDataLoss
-                          : oracle_corrupted;
-    if (!nack) {
+    if (reply.status != StatusCode::kDataLoss) {
       return Status(reply.status,
                     std::string("server rejected batch: ") +
                         StatusCodeToString(reply.status));
     }
+    ++delivery->batches_checksum_rejected;
     return false;
   };
   return sim::RetransmitLoop(retransmit_budget, attempt, delivery);

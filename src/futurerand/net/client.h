@@ -5,8 +5,9 @@
 //
 // StreamClient is deliberately synchronous: tools/frload drives the fault
 // simulation tick by tick and needs each batch's verdict before the next
-// channel draw, exactly like the in-process runner. Throughput comes from
-// running several connections, not from pipelining one.
+// channel draw, exactly like the in-process runner. One thread doing
+// stop-and-wait gains no concurrency from extra connections; parallel
+// throughput needs one sending thread per connection.
 
 #ifndef FUTURERAND_NET_CLIENT_H_
 #define FUTURERAND_NET_CLIENT_H_
@@ -77,17 +78,18 @@ class StreamClient {
 /// transmissions on the wire too. Per attempt: corruption mutates a copy
 /// of `pristine` through `channel` (nullable = no corruption possible),
 /// the copy rides one Call, and the server's verdict drives the retry —
-/// kAck accepts, kNack retransmits the pristine bytes (kV2), kError under
-/// kV1 falls back to the channel's oracle flag exactly like the runner.
-/// A kOverload verdict resends the SAME bytes after a short backoff
-/// without a new channel draw (the server consumed nothing), so overload
-/// never perturbs the fault sequence. `delivery` accumulates the outcome
+/// kAck accepts, a kDataLoss NACK retransmits the pristine bytes, any
+/// other rejection is returned as its Status. A kOverload verdict resends
+/// the SAME bytes after a short backoff without a new channel draw (the
+/// server consumed nothing), so overload never perturbs the fault
+/// sequence. `delivery` accumulates the outcome
 /// counts from the replies, which therefore sum identically to an
-/// in-process run.
+/// in-process run. The WireVersion parameter is unused (v2 is the only
+/// framing); a later benchmark change can drop it.
 Status DeliverEncodedOverStream(StreamClient& client,
                                 const std::string& pristine,
                                 sim::ChannelModel* channel,
-                                core::WireVersion wire_version,
+                                core::WireVersion /*version*/,
                                 int64_t retransmit_budget,
                                 sim::DeliveryMetrics* delivery);
 

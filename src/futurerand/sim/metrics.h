@@ -56,6 +56,9 @@ struct DeliveryMetrics {
                                         // shipped over the wire (churn runs)
 
   std::string ToString() const;
+
+  friend bool operator==(const DeliveryMetrics&,
+                         const DeliveryMetrics&) = default;
 };
 
 }  // namespace futurerand::sim

@@ -19,6 +19,7 @@
 #include "futurerand/common/threadpool.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/config.h"
+#include "futurerand/core/fleet.h"
 #include "futurerand/core/server.h"
 #include "futurerand/sim/channel.h"
 #include "futurerand/sim/metrics.h"
@@ -66,23 +67,23 @@ const char* ProtocolKindToString(ProtocolKind kind);
 /// shares.
 Result<ProtocolKind> ParseProtocolKind(const std::string& name);
 
+/// The sequence randomizer a fleet-driven pipeline runs: the one map from
+/// ProtocolKind to rand::RandomizerKind, shared by RunProtocol and every
+/// tool that builds the same fleet. InvalidArgument for the pipelines that
+/// bypass the fleet (Erlingsson, naive RR, central tree, non-private).
+Result<rand::RandomizerKind> RandomizerFor(ProtocolKind kind);
+
 /// Fault-tolerance knobs for a protocol run: a lossy channel between the
 /// fleet and the aggregator, the aggregator's dedup policy, and periodic
 /// checkpoint/restore round-trips. Defaults model the paper's ideal
 /// transport (perfect channel, strict dedup, no checkpoints). Only the
-/// hierarchical pipelines (FutureRand / Independent / Bun / Adaptive)
-/// support non-default options — the baselines bypass the batch transport.
+/// seven fleet-driven pipelines (the kinds RandomizerFor maps: FutureRand,
+/// Independent, Bun, Adaptive, L-GRR, L-OLH, LOLOHA) support non-default
+/// options — the baselines bypass the batch transport. Report batches
+/// carry an FNV-1a trailer, so the aggregator itself detects in-flight
+/// corruption (kDataLoss) and the retransmit loop runs off that verdict.
 struct FaultOptions {
   ChannelConfig channel;
-  /// Wire framing of the report batches the fleet ships through the
-  /// channel. kV2 (default) carries an FNV-1a trailer, so the aggregator
-  /// itself detects in-flight corruption (kDataLoss) and the retransmit
-  /// loop runs off that verdict — NACK-style, no oracle. kV1 emulates a
-  /// legacy sender in a mixed fleet: payload corruption is undetectable
-  /// in general, so the retry falls back to the channel's oracle flag for
-  /// decode failures and a flip that still decodes lands in the estimate
-  /// (measured, not hidden).
-  core::WireVersion wire_version = core::WireVersion::kV2;
   /// Max TOTAL transmissions per batch before the run fails with kDataLoss
   /// (>= 1): a budget of N allows exactly N deliveries of one batch — the
   /// initial transmission plus up to N - 1 retransmissions (so N - 1 is
@@ -122,28 +123,23 @@ struct FaultOptions {
   /// Checks rates and cross-option consistency: duplicate faults require
   /// kIdempotent (under kStrict a duplicate is an ingest error), as do
   /// delayed records (they arrive out of order per client) and a bounded
-  /// dedup window. Corrupt faults (steady or burst) require kIdempotent
-  /// only under kV1, where a poisoned batch can partially apply before
-  /// the error and the retransmission double-delivers; under kV2 the
-  /// checksum rejects a corrupted batch atomically before any record is
-  /// decoded, so retransmission is safe even under kStrict.
+  /// dedup window. Corrupt faults need no dedup: the checksum rejects a
+  /// corrupted batch atomically before any record is decoded, so
+  /// retransmission is safe even under kStrict.
   Status Validate() const;
 };
 
 /// Ships one encoded batch into `aggregator` with detection-driven
 /// (NACK-style) retransmission — the single copy of the delivery policy
 /// shared by RunProtocol and bench_throughput. Each attempt re-traverses
-/// `channel` (nullable = no corruption possible): under kV2 an attempt
-/// rejected with kDataLoss is retransmitted, under kV1 the channel's
-/// oracle flag gates the retry instead (payload corruption is
-/// undetectable there). Gives up after `retransmit_budget` attempts with
-/// kDataLoss. `delivery` (required) accumulates the applied/deduped/
-/// out-of-window record counts and the checksum-NACK/retransmission
-/// batch counters.
+/// `channel` (nullable = no corruption possible); an attempt rejected with
+/// kDataLoss is retransmitted, any other error is returned as-is. Gives
+/// up after `retransmit_budget` attempts with kDataLoss. `delivery`
+/// (required) accumulates the applied/deduped/out-of-window record counts
+/// and the checksum-NACK/retransmission batch counters.
 Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
                                         const std::string& pristine,
                                         ChannelModel* channel,
-                                        core::WireVersion wire_version,
                                         int64_t retransmit_budget,
                                         ThreadPool* pool,
                                         DeliveryMetrics* delivery);
@@ -162,6 +158,47 @@ Status RetransmitLoop(int64_t retransmit_budget,
                       const std::function<Result<bool>()>& attempt,
                       DeliveryMetrics* delivery);
 
+/// Ships one report batch to the aggregator, wherever it lives. `index`
+/// counts shipped batches from 0: tick t ships index t - 1 and the
+/// end-of-stream flush of delayed records index d. `channel` is the run's
+/// channel, null on an ideal transport; a shipper that retransmits passes
+/// it on so every attempt re-traverses it.
+using ShipBatchFn = std::function<Status(const core::ReportBatch& batch,
+                                         int64_t index,
+                                         ChannelModel* channel)>;
+
+/// Re-sends the registrations of the clients joining at the current tick.
+using ReregisterFn = std::function<Status(
+    const std::vector<core::RegistrationMessage>& joiners)>;
+
+/// Runs after tick t's batch was shipped.
+using TickHookFn = std::function<Status(int64_t t)>;
+
+/// The one copy of the online tick loop (Algorithms 1+2, one period per
+/// tick), shared by the in-process runner and the frload service client so
+/// the two stay bit-identical by construction. For t = 1..d it
+///   1. replays each user's change_times into the state vector;
+///   2. on churn workloads under kIdempotent, hands the registrations of
+///      the users joining at t to `reregister` (counted in
+///      registrations_replayed). Registration is control-plane traffic:
+///      it never traverses the channel, so the channel's random stream and
+///      therefore the estimates match the truncated-trace twin;
+///   3. advances `fleet` one tick, passes the batch through the channel
+///      (seeded ChannelSeedForRun(seed)) when faults.channel is enabled,
+///      and `ship`s what it delivered;
+///   4. calls `after_tick(t)` unless it is empty.
+/// After tick d the records the channel still delays are flushed and
+/// shipped, and the channel counters are copied into `delivery`; with no
+/// channel, records sent = delivered = reports and batches_sent = d.
+/// `fleet` must be freshly created for `workload` with its registrations
+/// already delivered. Returns the number of reports the fleet emitted.
+Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
+                           const FaultOptions& faults, uint64_t seed,
+                           ThreadPool* pool, const ShipBatchFn& ship,
+                           const ReregisterFn& reregister,
+                           const TickHookFn& after_tick,
+                           DeliveryMetrics* delivery);
+
 /// The outcome of one protocol run on one workload.
 struct RunResult {
   std::vector<double> estimates;  // a_hat[t], t = 1..d
@@ -177,7 +214,7 @@ struct RunResult {
 /// execution. `num_shards` sets the ShardedAggregator's shard count
 /// (0 = one shard per worker thread); estimates are bit-identical for any
 /// value, so it is purely a throughput knob. `faults` injects transport
-/// faults and recovery round-trips (hierarchical pipelines only).
+/// faults and recovery round-trips (fleet-driven pipelines only).
 Result<RunResult> RunProtocol(ProtocolKind kind,
                               const core::ProtocolConfig& config,
                               const Workload& workload, uint64_t seed,

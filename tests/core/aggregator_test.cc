@@ -251,35 +251,7 @@ TEST(AggregatorTest, IngestEncodedRejectsMalformedBytes) {
 }
 
 TEST(AggregatorTest, PeekBatchKindDistinguishesPayloads) {
-  EXPECT_EQ(PeekBatchKind(EncodeRegistrationBatch({})).ValueOrDie(),
-            WireBatchKind::kRegistration);
-  EXPECT_EQ(PeekBatchKind(EncodeReportBatch({}).ValueOrDie()).ValueOrDie(),
-            WireBatchKind::kReport);
   EXPECT_FALSE(PeekBatchKind("FR").ok());
-}
-
-TEST(AggregatorTest, MixedWireVersionsIngestIdentically) {
-  // A mid-migration fleet: some senders still frame v1, others v2. The
-  // aggregator routes both off the header and the result is bit-identical
-  // to a single-version fleet.
-  const Traffic traffic = GenerateTraffic(45);
-  const Server reference = ReferenceServer(traffic);
-  ShardedAggregator aggregator =
-      ShardedAggregator::ForProtocol(TestConfig(), 3).ValueOrDie();
-  ASSERT_TRUE(aggregator
-                  .IngestEncoded(EncodeRegistrationBatch(
-                      traffic.registrations, WireVersion::kV2))
-                  .ok());
-  for (size_t b = 0; b < traffic.batches.size(); ++b) {
-    const WireVersion version =
-        b % 2 == 0 ? WireVersion::kV1 : WireVersion::kV2;
-    ASSERT_TRUE(
-        aggregator
-            .IngestEncoded(
-                EncodeReportBatch(traffic.batches[b], version).ValueOrDie())
-            .ok());
-  }
-  ExpectMatchesReference(aggregator, reference);
 }
 
 TEST(AggregatorTest, CorruptedV2IngestIsDataLossAndAppliesNothing) {

@@ -4,9 +4,10 @@
 // and kind-9 longitudinal fleet blobs), mutate them — truncation at every byte offset, single-bit flips at every
 // bit position, overlong varints, random multi-byte garbage — and assert
 // the decoders never crash, never loop, and never silently accept what the
-// format can detect. Snapshot blobs and v2 transport batches carry a
-// checksum, so for them "detectable" means every mutation; v1 batch
-// payloads have no checksum, so a payload-varint flip may legitimately
+// format can detect. Snapshot blobs and transport batches carry a
+// checksum, so for them "detectable" means every mutation. To reach the
+// record decoders behind the checksum, batch flips are also re-sealed
+// under a fresh trailer; such a payload-varint flip may legitimately
 // decode to a different well-formed batch — in that case the batch must
 // re-encode/decode cleanly.
 //
@@ -207,8 +208,14 @@ TEST_P(WireAdversaryTest, BitFlippedBatchesNeverCrashAndStayWellFormed) {
         std::string corrupted = *payload;
         corrupted[byte] ^= static_cast<char>(1 << bit);
         DecodeEverything(corrupted);
-        // If the flip lands in a payload varint the batch may still decode
-        // — then it must be a well-formed batch that round-trips.
+        // Re-sealed, a flip in the header or records reaches the record
+        // decoders. If it lands in a payload varint the batch may still
+        // decode — then it must be a well-formed batch that round-trips.
+        if (byte + 8 < corrupted.size()) {
+          corrupted.resize(corrupted.size() - 8);
+          wire_internal::AppendChecksum(&corrupted);
+          DecodeEverything(corrupted);
+        }
         const auto registrations = DecodeRegistrationBatch(corrupted);
         if (registrations.ok()) {
           const auto round_trip = DecodeRegistrationBatch(
@@ -316,15 +323,21 @@ TEST_P(WireAdversaryTest, EveryBitFlippedV2BatchIsRejected) {
 TEST_P(WireAdversaryTest, OverlongVarintsAreRejected) {
   // Replace the count varint with an 11-byte (overlong) encoding; also try
   // a 10-byte maximal varint as a count, which must be rejected as
-  // implausible rather than allocating.
+  // implausible rather than allocating. Transport kinds (6-7) get a valid
+  // trailer so the varint, not the checksum, is what fails.
   Rng rng(GetParam() * 7 + 3);
   for (const char kind :
-       {char{1}, char{2}, char{3}, char{4}, char{5}, char{8}, char{9}}) {
-    std::string overlong = {'F', 'R', 'W', 1, kind};
+       {char{6}, char{7}, char{3}, char{4}, char{5}, char{8}, char{9}}) {
+    const char version = wire_internal::KindWireVersion(kind);
+    const bool transport = version == wire_internal::kWireVersion2;
+    std::string overlong = {'F', 'R', 'W', version, kind};
     for (int i = 0; i < 10; ++i) {
       overlong.push_back(static_cast<char>(0x80 | (rng.NextUint64() & 0x7f)));
     }
     overlong.push_back(1);
+    if (transport) {
+      wire_internal::AppendChecksum(&overlong);
+    }
     DecodeEverything(overlong);
     EXPECT_FALSE(DecodeRegistrationBatch(overlong).ok());
     EXPECT_FALSE(DecodeReportBatch(overlong).ok());
@@ -334,12 +347,15 @@ TEST_P(WireAdversaryTest, OverlongVarintsAreRejected) {
     core::ClientFleet fleet = MakeColdFleet();
     EXPECT_FALSE(fleet.RestoreLongitudinalState(overlong).ok());
 
-    std::string huge_count = {'F', 'R', 'W', 1, kind};
+    std::string huge_count = {'F', 'R', 'W', version, kind};
     for (int i = 0; i < 9; ++i) {
       huge_count.push_back(static_cast<char>(0xff));
     }
     huge_count.push_back(0x7f);
     huge_count.append("abcdef");  // a few bytes of "records"
+    if (transport) {
+      wire_internal::AppendChecksum(&huge_count);
+    }
     DecodeEverything(huge_count);
     EXPECT_FALSE(DecodeRegistrationBatch(huge_count).ok());
     EXPECT_FALSE(DecodeReportBatch(huge_count).ok());

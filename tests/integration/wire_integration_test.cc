@@ -2,10 +2,12 @@
 // decoded and replayed into a second server; the estimates must be
 // identical bit-for-bit to the direct path.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "futurerand/core/aggregator.h"
 #include "futurerand/core/client.h"
 #include "futurerand/core/server.h"
 #include "futurerand/core/wire.h"
@@ -85,6 +87,50 @@ TEST(WireIntegrationTest, WireSizeIsCompact) {
   const auto bytes = EncodeReportBatch(reports);
   ASSERT_TRUE(bytes.ok());
   EXPECT_LT(bytes->size(), reports.size() * 3);
+}
+
+TEST(WireIntegrationTest, RetiredV1KindsAreDataLossAndApplyNothing) {
+  // Kinds 1-2, the unchecksummed v1 transport batches, are retired: the
+  // aggregator rejects them at the header with kDataLoss, like any unknown
+  // kind, and applies nothing — even when the records behind the header
+  // are well-formed.
+  ProtocolConfig config;
+  config.num_periods = 16;
+  config.max_changes = 2;
+  config.epsilon = 1.0;
+  ShardedAggregator aggregator =
+      ShardedAggregator::ForProtocol(config, 2).ValueOrDie();
+  ASSERT_TRUE(
+      aggregator.IngestEncoded(EncodeRegistrationBatch({{0, 0}, {1, 0}}))
+          .ok());
+  const std::vector<double> before = aggregator.EstimateAll().ValueOrDie();
+
+  // The exact v1 bytes of a batch: version 1, the v1 kind, no trailer.
+  auto as_v1 = [](std::string batch, char kind) {
+    batch[3] = wire_internal::kWireVersion1;
+    batch[4] = kind;
+    batch.resize(batch.size() - 8);
+    return batch;
+  };
+  const std::string reports =
+      EncodeReportBatch({{0, 1, 1}, {1, 2, -1}}).ValueOrDie();
+  for (const std::string& v1 :
+       {as_v1(EncodeRegistrationBatch({{2, 0}}),
+              wire_internal::kKindRegistration),
+        as_v1(reports, wire_internal::kKindReport)}) {
+    EXPECT_EQ(PeekBatchKind(v1).status().code(), StatusCode::kDataLoss);
+    IngestOutcome outcome;
+    EXPECT_EQ(aggregator.IngestEncoded(v1, nullptr, &outcome).code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(outcome.applied, 0);
+  }
+  EXPECT_EQ(aggregator.num_clients(), 2);
+  EXPECT_EQ(aggregator.EstimateAll().ValueOrDie(), before);
+
+  // The same records framed as v2 apply.
+  IngestOutcome outcome;
+  ASSERT_TRUE(aggregator.IngestEncoded(reports, nullptr, &outcome).ok());
+  EXPECT_EQ(outcome.applied, 2);
 }
 
 }  // namespace

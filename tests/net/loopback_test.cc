@@ -19,12 +19,15 @@
 
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/config.h"
+#include "futurerand/core/fleet.h"
 #include "futurerand/core/wire.h"
 #include "futurerand/net/client.h"
 #include "futurerand/net/frame.h"
 #include "futurerand/net/server.h"
 #include "futurerand/sim/channel.h"
 #include "futurerand/sim/metrics.h"
+#include "futurerand/sim/runner.h"
+#include "futurerand/sim/workload.h"
 
 namespace futurerand::net {
 namespace {
@@ -374,6 +377,105 @@ TEST(LoopbackDeliveryTest, StreamBudgetExhaustionMatchesInProcessContract) {
   ASSERT_TRUE(client.SendControl(ControlOp::kShutdown).ok());
   ASSERT_TRUE(server->Join().ok());
   EXPECT_EQ(server->stats().batches_nacked, 4);
+}
+
+TEST(LoopbackDriveFleetTest, ChurnOverStreamMatchesRunProtocol) {
+  // The shared tick loop over a socket, shipped the way frload ships it:
+  // batches round-robin over three connections, joiners re-register over
+  // the first. Churn re-registration and the end-of-stream flush of
+  // delayed records both cross the socket here, which the uniform,
+  // delay-free service smoke never does. The result must equal the
+  // in-process RunProtocol on the same seeds: estimates bit for bit and
+  // every delivery counter.
+  TempDir dir;
+  const std::string sock = dir.path + "/fr.sock";
+  const std::string ckpt = dir.path + "/fr.ckpt";
+  ServiceConfig config;
+  config.protocol = Protocol();
+  config.num_workers = 2;
+  config.dedup = core::DedupPolicy::kIdempotent;
+  config.checkpoint_path = ckpt;
+  auto server = IngestServer::Create(config).ValueOrDie();
+  ASSERT_TRUE(server->AddUnixListener(sock).ok());
+  ASSERT_TRUE(server->Start().ok());
+
+  sim::WorkloadConfig workload_config;
+  workload_config.kind = sim::WorkloadKind::kChurn;
+  workload_config.num_users = 300;
+  workload_config.num_periods = config.protocol.num_periods;
+  workload_config.max_changes = config.protocol.max_changes;
+  workload_config.churn_join_fraction = 0.5;
+  const sim::Workload workload =
+      sim::Workload::Generate(workload_config, 5).ValueOrDie();
+  sim::FaultOptions faults;
+  faults.channel.corrupt_rate = 0.2;
+  faults.channel.duplicate_rate = 0.1;
+  faults.channel.delay_rate = 0.3;
+  faults.channel.delay_ticks_max = 3;
+  faults.dedup = core::DedupPolicy::kIdempotent;
+  ASSERT_TRUE(faults.Validate().ok());
+  const uint64_t seed = 11;
+
+  std::vector<StreamClient> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.push_back(StreamClient::ConnectUnix(sock).ValueOrDie());
+  }
+  core::ClientFleet fleet =
+      core::ClientFleet::Create(config.protocol, workload.num_users(), seed)
+          .ValueOrDie();
+  ASSERT_EQ(clients[0]
+                .Call(core::EncodeRegistrationBatch(fleet.registrations()))
+                .ValueOrDie()
+                .verdict,
+            Verdict::kAck);
+
+  sim::DeliveryMetrics delivery;
+  int64_t last_index = -1;
+  auto ship = [&](const core::ReportBatch& batch, int64_t index,
+                  sim::ChannelModel* channel) -> Status {
+    last_index = index;
+    FR_ASSIGN_OR_RETURN(const std::string pristine,
+                        core::EncodeReportBatch(batch));
+    return DeliverEncodedOverStream(
+        clients[static_cast<size_t>(index) % clients.size()], pristine,
+        channel, core::WireVersion::kV2, faults.retransmit_budget,
+        &delivery);
+  };
+  auto reregister =
+      [&](const std::vector<core::RegistrationMessage>& joiners) -> Status {
+    FR_ASSIGN_OR_RETURN(
+        const Reply reply,
+        clients[0].Call(core::EncodeRegistrationBatch(joiners)));
+    return reply.verdict == Verdict::kAck
+               ? Status::OK()
+               : Status::Internal("re-registration rejected");
+  };
+  const auto reports = sim::DriveFleet(fleet, workload, faults, seed, nullptr,
+                                       ship, reregister, nullptr, &delivery);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_TRUE(clients[0].SendControl(ControlOp::kShutdown).ok());
+  ASSERT_TRUE(server->Join().ok());
+
+  const sim::RunResult local =
+      sim::RunProtocol(sim::ProtocolKind::kFutureRand, config.protocol,
+                       workload, seed, nullptr, /*num_shards=*/0, faults)
+          .ValueOrDie();
+  auto restored = core::ShardedAggregator::ForProtocol(
+                      config.protocol, 1, core::DedupPolicy::kIdempotent)
+                      .ValueOrDie();
+  ASSERT_TRUE(RestoreFromCheckpointFile(ckpt, &restored).ok());
+  EXPECT_EQ(restored.EstimateAll().ValueOrDie(), local.estimates);
+  EXPECT_EQ(delivery, local.delivery)
+      << "stream:     " << delivery.ToString()
+      << "\nin-process: " << local.delivery.ToString();
+  EXPECT_EQ(*reports, local.reports_submitted);
+
+  // The paths this test exists for really ran over the socket.
+  EXPECT_GT(delivery.registrations_replayed, 0);
+  EXPECT_GT(delivery.records_delayed, 0);
+  EXPECT_EQ(last_index, config.protocol.num_periods);  // the flush shipped
+  EXPECT_GT(delivery.records_duplicated, 0);
+  EXPECT_GT(delivery.batches_checksum_rejected, 0);
 }
 
 TEST(LoopbackShutdownTest, ShutdownAckIsTheLastFrameThenEof) {

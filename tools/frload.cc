@@ -5,11 +5,11 @@
 //          --corrupt-rate=0.05 --drop-rate=0.02 --dedup
 //          --checkpoint=/tmp/fr.ckpt --verify --json
 //
-// Replays exactly what sim::RunProtocol's hierarchical path does — same
-// workload, same fleet seeded with the protocol seed, same channel seeded
-// with ChannelSeedForRun(seed), same per-tick delivery order — except each
-// encoded batch rides an FRS stream to frserve instead of a local
-// IngestEncoded, with the server's ack/NACK verdicts driving the shared
+// Runs the same tick loop as sim::RunProtocol's fleet pipelines —
+// sim::DriveFleet, with the same workload, the same fleet seeded with the
+// protocol seed and the same channel seeded with ChannelSeedForRun(seed) —
+// except each encoded batch rides an FRS stream to frserve instead of a
+// local ingest, with the server's ack/NACK verdicts driving the shared
 // retransmit policy (net::DeliverEncodedOverStream). Ticks round-robin
 // over --connections sockets; delivery is synchronous per batch, so the
 // channel's random-draw order is identical to the in-process run.
@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,32 +42,6 @@ namespace {
 
 using namespace futurerand;
 
-// The hierarchical pipelines are the only ones with a batch transport to
-// load-test; maps each to the randomizer RunProtocol would select, so the
-// fleet here and the in-process verify run draw identical randomness.
-Result<rand::RandomizerKind> RandomizerFor(sim::ProtocolKind kind) {
-  switch (kind) {
-    case sim::ProtocolKind::kFutureRand:
-      return rand::RandomizerKind::kFutureRand;
-    case sim::ProtocolKind::kIndependent:
-      return rand::RandomizerKind::kIndependent;
-    case sim::ProtocolKind::kBun:
-      return rand::RandomizerKind::kBun;
-    case sim::ProtocolKind::kAdaptive:
-      return rand::RandomizerKind::kAdaptive;
-    case sim::ProtocolKind::kLGrr:
-      return rand::RandomizerKind::kLGrr;
-    case sim::ProtocolKind::kLOlh:
-      return rand::RandomizerKind::kLOlh;
-    case sim::ProtocolKind::kLoloha:
-      return rand::RandomizerKind::kLoloha;
-    default:
-      return Status::InvalidArgument(
-          "frload drives the hierarchical pipelines only (future_rand | "
-          "independent | bun | adaptive | lgrr | lolh | loloha)");
-  }
-}
-
 #define FRLOAD_REQUIRE_OK(expr)                                  \
   do {                                                           \
     const ::futurerand::Status _st = (expr);                     \
@@ -77,19 +50,6 @@ Result<rand::RandomizerKind> RandomizerFor(sim::ProtocolKind kind) {
       return 1;                                                  \
     }                                                            \
   } while (false)
-
-// One counter mismatch report line; returns whether the pair agreed.
-bool CheckCounter(const char* name, int64_t remote, int64_t local,
-                  bool* all_ok) {
-  if (remote == local) {
-    return true;
-  }
-  std::fprintf(stderr, "verify mismatch: %s remote=%lld in-process=%lld\n",
-               name, static_cast<long long>(remote),
-               static_cast<long long>(local));
-  *all_ok = false;
-  return false;
-}
 
 int Run(int argc, char** argv) {
   std::string uds;
@@ -117,7 +77,6 @@ int Run(int argc, char** argv) {
   double outage_recovery_rate = 0.0;
   double delay_rate = 0.0;
   int64_t delay_max_ticks = 0;
-  int64_t wire_version = 2;
   int64_t retransmit_budget = 32;
   bool dedup = false;
   int64_t dedup_window = 0;
@@ -136,7 +95,8 @@ int Run(int argc, char** argv) {
                   "stays synchronous per batch, so the fault sequence is "
                   "connection-count independent)");
   parser.AddString("protocol", &protocol_name,
-                   "future_rand | independent | bun | adaptive");
+                   "future_rand | independent | bun | adaptive | lgrr | "
+                   "lolh | loloha");
   workload_flags.Register(&parser);
   parser.AddInt64("n", &n, "number of users");
   parser.AddInt64("d", &d, "time periods (power of two; must match frserve)");
@@ -171,9 +131,6 @@ int Run(int argc, char** argv) {
                    "P(a delivered report is delayed into a later tick)");
   parser.AddInt64("delay-max-ticks", &delay_max_ticks,
                   "uniform delay bound in ticks");
-  parser.AddInt64("wire-version", &wire_version,
-                  "2 = checksummed batches (NACK-driven retransmit), "
-                  "1 = legacy (oracle-assisted retry)");
   parser.AddInt64("retransmit-budget", &retransmit_budget,
                   "max TOTAL transmissions per batch (N = initial + up to "
                   "N-1 resends), same contract as the simulator");
@@ -236,7 +193,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
     return 2;
   }
-  const auto randomizer = RandomizerFor(*protocol);
+  const auto randomizer = sim::RandomizerFor(*protocol);
   if (!randomizer.ok()) {
     std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
     return 2;
@@ -263,14 +220,6 @@ int Run(int argc, char** argv) {
   faults.channel.outage_exit_rate = outage_recovery_rate;
   faults.channel.delay_rate = delay_rate;
   faults.channel.delay_ticks_max = delay_max_ticks;
-  if (wire_version == 1) {
-    faults.wire_version = core::WireVersion::kV1;
-  } else if (wire_version == 2) {
-    faults.wire_version = core::WireVersion::kV2;
-  } else {
-    std::fprintf(stderr, "InvalidArgument: --wire-version must be 1 or 2\n");
-    return 2;
-  }
   faults.retransmit_budget = retransmit_budget;
   faults.dedup =
       dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
@@ -318,9 +267,8 @@ int Run(int argc, char** argv) {
   // Registrations ship pristine (the simulator's channel also only faults
   // report batches) and their outcome is not counted, matching the runner.
   {
-    const std::string reg = core::EncodeRegistrationBatch(
-        fleet->registrations(), faults.wire_version);
-    const auto reply = clients[0].Call(reg);
+    const auto reply =
+        clients[0].Call(core::EncodeRegistrationBatch(fleet->registrations()));
     if (!reply.ok()) {
       std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
       return 1;
@@ -334,123 +282,35 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::optional<sim::ChannelModel> channel;
-  if (faults.channel.enabled()) {
-    channel.emplace(faults.channel, sim::ChannelSeedForRun(protocol_seed));
-  }
+  // sim::DriveFleet runs the same tick loop as the in-process runner; only
+  // the two shipping callables differ. Batches round-robin over the
+  // connections and churn joiners re-register over the first one.
   sim::DeliveryMetrics delivery;
-
-  // Churn workloads: joiners re-register at their join tick, exactly as
-  // RunHierarchical replays them — pristine (no channel traversal, so the
-  // fault sequence stays identical) and only under idempotent ingest,
-  // where the server absorbs the duplicate registration.
-  std::vector<std::vector<int64_t>> joiners_by_tick;
-  const bool replay_joins = workload->has_presence() &&
-                            faults.dedup == core::DedupPolicy::kIdempotent;
-  if (replay_joins) {
-    joiners_by_tick.resize(static_cast<size_t>(d) + 1);
-    for (int64_t u = 0; u < n; ++u) {
-      const int64_t join = workload->presence()[static_cast<size_t>(u)].join;
-      if (join > 1) {
-        joiners_by_tick[static_cast<size_t>(join)].push_back(u);
-      }
-    }
-  }
-
-  auto deliver = [&](const core::ReportBatch& batch,
-                     int64_t tick) -> Status {
+  auto ship = [&](const core::ReportBatch& batch, int64_t index,
+                  sim::ChannelModel* channel) -> Status {
     FR_ASSIGN_OR_RETURN(const std::string pristine,
-                        core::EncodeReportBatch(batch, faults.wire_version));
-    net::StreamClient& client =
-        clients[static_cast<size_t>(tick % connections)];
+                        core::EncodeReportBatch(batch));
     return net::DeliverEncodedOverStream(
-        client, pristine, channel.has_value() ? &*channel : nullptr,
-        faults.wire_version, faults.retransmit_budget, &delivery);
+        clients[static_cast<size_t>(index % connections)], pristine, channel,
+        core::WireVersion::kV2, faults.retransmit_budget, &delivery);
   };
-
-  // The tick loop below mirrors RunHierarchical line for line; any drift
-  // breaks --verify, which is the point.
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  std::vector<size_t> next_change(static_cast<size_t>(n), 0);
-  core::ReportBatch batch;
-  core::ReportBatch delivered;
-  int64_t reports = 0;
-  for (int64_t t = 1; t <= d; ++t) {
-    auto update_states = [&](int64_t begin, int64_t end) {
-      for (int64_t u = begin; u < end; ++u) {
-        const auto i = static_cast<size_t>(u);
-        const std::vector<int64_t>& changes =
-            workload->trace(u).change_times;
-        if (next_change[i] < changes.size() &&
-            changes[next_change[i]] == t) {
-          states[i] = static_cast<int8_t>(1 - states[i]);
-          ++next_change[i];
-        }
-      }
-    };
-    if (n > 1) {
-      pool.ParallelFor(n, update_states);
-    } else {
-      update_states(0, n);
+  auto reregister =
+      [&](const std::vector<core::RegistrationMessage>& joiners) -> Status {
+    FR_ASSIGN_OR_RETURN(
+        const net::Reply reply,
+        clients[0].Call(core::EncodeRegistrationBatch(joiners)));
+    if (reply.verdict != net::Verdict::kAck) {
+      std::string message = "re-registration rejected by server (";
+      message += StatusCodeToString(reply.status);
+      message += ") — is frserve running with --dedup?";
+      return Status::FailedPrecondition(std::move(message));
     }
-    if (replay_joins && !joiners_by_tick[static_cast<size_t>(t)].empty()) {
-      std::vector<core::RegistrationMessage> reregistrations;
-      for (const int64_t u : joiners_by_tick[static_cast<size_t>(t)]) {
-        reregistrations.push_back(
-            fleet->registrations()[static_cast<size_t>(u)]);
-      }
-      const std::string encoded = core::EncodeRegistrationBatch(
-          reregistrations, faults.wire_version);
-      const auto reply = clients[0].Call(encoded);
-      if (!reply.ok()) {
-        std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
-        return 1;
-      }
-      if (reply->verdict != net::Verdict::kAck) {
-        std::fprintf(stderr,
-                     "re-registration at t=%lld rejected by server (%s) — "
-                     "is frserve running with --dedup?\n",
-                     static_cast<long long>(t),
-                     StatusCodeToString(reply->status));
-        return 1;
-      }
-      delivery.registrations_replayed +=
-          static_cast<int64_t>(reregistrations.size());
-    }
-    FRLOAD_REQUIRE_OK(fleet->AdvanceTick(states, &batch));
-    reports += static_cast<int64_t>(batch.size());
-    if (channel.has_value()) {
-      channel->Transmit(batch, &delivered);
-      FRLOAD_REQUIRE_OK(deliver(delivered, t - 1));
-    } else {
-      FRLOAD_REQUIRE_OK(deliver(batch, t - 1));
-    }
-  }
-  if (channel.has_value() && faults.channel.delay_rate > 0.0) {
-    channel->FlushDelayed(&delivered);
-    if (!delivered.empty()) {
-      FRLOAD_REQUIRE_OK(deliver(delivered, d));
-    }
-  }
-
-  if (channel.has_value()) {
-    const sim::DeliveryMetrics& channel_stats = channel->stats();
-    delivery.records_sent = channel_stats.records_sent;
-    delivery.records_dropped = channel_stats.records_dropped;
-    delivery.records_outage_dropped = channel_stats.records_outage_dropped;
-    delivery.records_duplicated = channel_stats.records_duplicated;
-    delivery.records_delayed = channel_stats.records_delayed;
-    delivery.records_delivered = channel_stats.records_delivered;
-    delivery.batches_sent = channel_stats.batches_sent;
-    delivery.batches_reordered = channel_stats.batches_reordered;
-    delivery.batches_corrupted = channel_stats.batches_corrupted;
-    delivery.batches_in_burst = channel_stats.batches_in_burst;
-    delivery.client_outages = channel_stats.client_outages;
-  } else {
-    delivery.records_sent = reports;
-    delivery.records_delivered = reports;
-    delivery.batches_sent = d;
-  }
+    return Status::OK();
+  };
+  const auto reports =
+      sim::DriveFleet(*fleet, *workload, faults, protocol_seed, &pool, ship,
+                      reregister, nullptr, &delivery);
+  FRLOAD_REQUIRE_OK(reports.status());
 
   if (do_shutdown) {
     // The ack arrives after the drain and the final quiesced full
@@ -501,34 +361,14 @@ int Run(int argc, char** argv) {
         }
       }
     }
-    const sim::DeliveryMetrics& lhs = delivery;
-    const sim::DeliveryMetrics& rhs = local->delivery;
-    CheckCounter("records_sent", lhs.records_sent, rhs.records_sent,
-                 &all_ok);
-    CheckCounter("records_dropped", lhs.records_dropped,
-                 rhs.records_dropped, &all_ok);
-    CheckCounter("records_duplicated", lhs.records_duplicated,
-                 rhs.records_duplicated, &all_ok);
-    CheckCounter("records_delayed", lhs.records_delayed,
-                 rhs.records_delayed, &all_ok);
-    CheckCounter("records_delivered", lhs.records_delivered,
-                 rhs.records_delivered, &all_ok);
-    CheckCounter("records_applied", lhs.records_applied,
-                 rhs.records_applied, &all_ok);
-    CheckCounter("records_deduped", lhs.records_deduped,
-                 rhs.records_deduped, &all_ok);
-    CheckCounter("records_out_of_window", lhs.records_out_of_window,
-                 rhs.records_out_of_window, &all_ok);
-    CheckCounter("batches_sent", lhs.batches_sent, rhs.batches_sent,
-                 &all_ok);
-    CheckCounter("batches_corrupted", lhs.batches_corrupted,
-                 rhs.batches_corrupted, &all_ok);
-    CheckCounter("batches_checksum_rejected", lhs.batches_checksum_rejected,
-                 rhs.batches_checksum_rejected, &all_ok);
-    CheckCounter("batches_retransmitted", lhs.batches_retransmitted,
-                 rhs.batches_retransmitted, &all_ok);
-    CheckCounter("registrations_replayed", lhs.registrations_replayed,
-                 rhs.registrations_replayed, &all_ok);
+    if (delivery != local->delivery) {
+      std::fprintf(stderr,
+                   "verify mismatch: delivery counters differ\n"
+                   "  remote:     %s\n  in-process: %s\n",
+                   delivery.ToString().c_str(),
+                   local->delivery.ToString().c_str());
+      all_ok = false;
+    }
     verify_result = all_ok ? 1 : 0;
   }
 
@@ -542,7 +382,6 @@ int Run(int argc, char** argv) {
         .Add("k", k)
         .Add("eps", eps)
         .Add("connections", connections)
-        .Add("wire_version", wire_version)
         .Add("records_sent", delivery.records_sent)
         .Add("records_delivered", delivery.records_delivered)
         .Add("records_applied", delivery.records_applied)
@@ -553,7 +392,7 @@ int Run(int argc, char** argv) {
         .Add("batches_retransmitted", delivery.batches_retransmitted)
         .Add("wall_seconds", wall)
         .Add("records_per_sec",
-             wall > 0.0 ? static_cast<double>(reports) / wall : 0.0)
+             wall > 0.0 ? static_cast<double>(*reports) / wall : 0.0)
         .Add("verify", static_cast<int64_t>(verify_result));
     std::printf("%s\n", line.Str().c_str());
   } else {
