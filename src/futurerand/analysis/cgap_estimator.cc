@@ -1,14 +1,12 @@
 #include "futurerand/analysis/cgap_estimator.h"
 
 #include <cmath>
+#include <memory>
 
 #include "futurerand/common/macros.h"
 #include "futurerand/common/random.h"
 #include "futurerand/common/sign_vector.h"
-#include "futurerand/randomizer/annulus.h"
-#include "futurerand/randomizer/basic.h"
-#include "futurerand/randomizer/composed.h"
-#include "futurerand/randomizer/longitudinal.h"
+#include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::analysis {
 
@@ -24,6 +22,9 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
     return Status::InvalidArgument("confidence must lie in (0,1)");
   }
 
+  FR_ASSIGN_OR_RETURN(
+      const std::shared_ptr<const rand::RandomizerParams> params,
+      rand::MakeRandomizerParams(kind, 1, max_support, epsilon, alpha));
   Rng rng(seed);
   const SignVector all_ones(max_support);
   double sum = 0.0;
@@ -32,17 +33,8 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
   switch (kind) {
     case rand::RandomizerKind::kFutureRand:
     case rand::RandomizerKind::kBun: {
-      Result<rand::AnnulusSpec> spec_result =
-          kind == rand::RandomizerKind::kFutureRand
-              ? rand::MakeFutureRandSpec(max_support, epsilon)
-              : rand::MakeBunSpec(max_support, epsilon);
-      if (!spec_result.ok()) {
-        return spec_result.status();
-      }
-      FR_ASSIGN_OR_RETURN(rand::ComposedRandomizer composed,
-                          rand::ComposedRandomizer::Create(*spec_result));
       for (int64_t s = 0; s < samples; ++s) {
-        const SignVector b_tilde = composed.Apply(all_ones, &rng);
+        const SignVector b_tilde = params->composed->Apply(all_ones, &rng);
         // Per-sample agreement average: (k - 2*dist)/k, expectation c_gap.
         const int64_t negatives = b_tilde.CountNegative();
         sum += static_cast<double>(max_support - 2 * negatives) /
@@ -51,14 +43,10 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
       break;
     }
     case rand::RandomizerKind::kIndependent: {
-      FR_ASSIGN_OR_RETURN(
-          rand::BasicRandomizer basic,
-          rand::BasicRandomizer::Create(
-              epsilon / static_cast<double>(max_support)));
       for (int64_t s = 0; s < samples; ++s) {
         int64_t agreement = 0;
         for (int64_t i = 0; i < max_support; ++i) {
-          agreement += basic.Apply(1, &rng);
+          agreement += params->basic->Apply(1, &rng);
         }
         sum += static_cast<double>(agreement) /
                static_cast<double>(max_support);
@@ -76,14 +64,10 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
       // reports of one client correlated, so each sample needs new clients).
       sample_range = 2.0;
       for (int64_t s = 0; s < samples; ++s) {
-        FR_ASSIGN_OR_RETURN(
-            std::unique_ptr<rand::LongitudinalRandomizer> one,
-            rand::LongitudinalRandomizer::Create(kind, 1, epsilon, alpha,
-                                                 rng.NextUint64()));
-        FR_ASSIGN_OR_RETURN(
-            std::unique_ptr<rand::LongitudinalRandomizer> zero,
-            rand::LongitudinalRandomizer::Create(kind, 1, epsilon, alpha,
-                                                 rng.NextUint64()));
+        const std::unique_ptr<rand::SequenceRandomizer> one =
+            rand::NewRandomizer(params, rng.NextUint64());
+        const std::unique_ptr<rand::SequenceRandomizer> zero =
+            rand::NewRandomizer(params, rng.NextUint64());
         sum += static_cast<double>(one->Randomize(int8_t{1}) -
                                    zero->Randomize(int8_t{0}));
       }

@@ -1,10 +1,9 @@
 #include "futurerand/core/fleet.h"
 
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <mutex>
+#include <memory>
 #include <utility>
 
 #include "futurerand/common/macros.h"
@@ -38,47 +37,50 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   fleet.randomizers_.resize(n);
   fleet.registrations_.resize(n);
 
+  // Randomizer parameters depend on a client only through its level
+  // (L = d >> h, k = SupportAtLevel(h)): build each level's block once, up
+  // front, and share it. A config any level rejects fails here, before any
+  // client exists. Longitudinal clients all sit at level 0.
+  const bool longitudinal = rand::IsLongitudinalKind(config.randomizer);
+  std::vector<std::shared_ptr<const rand::RandomizerParams>> params(
+      longitudinal ? 1 : static_cast<size_t>(config.num_orders()));
+  for (size_t level = 0; level < params.size(); ++level) {
+    FR_ASSIGN_OR_RETURN(
+        params[level],
+        rand::MakeRandomizerParams(
+            config.randomizer, config.num_periods >> level,
+            config.SupportAtLevel(static_cast<int>(level)), config.epsilon,
+            config.longitudinal_alpha));
+  }
+
   // Each client's creation mirrors Client::Create exactly: one Rng seeded
   // from the forked stream draws the level, then seeds the randomizer.
   const Rng base(base_seed);
-  std::mutex error_mutex;
-  Status first_error;
-  std::atomic<bool> failed{false};
   auto create_range = [&](int64_t begin, int64_t end) {
+    // Every client copies its level's handle, and copies of one shared_ptr
+    // all update one reference count: a cache line the pool's threads
+    // would fight over. A chunk-local handle per level (its own count; its
+    // deleter holds the shared handle) keeps those updates thread-private.
+    std::vector<std::shared_ptr<const rand::RandomizerParams>> local;
+    local.reserve(params.size());
+    for (const auto& block : params) {
+      local.emplace_back(block.get(),
+                         [block](const rand::RandomizerParams*) {});
+    }
     for (int64_t u = begin; u < end; ++u) {
-      // Another chunk already hit an error: constructing more randomizers
-      // (each pre-computes a noise vector) is O(n) wasted work, so every
-      // chunk bails at its next iteration.
-      if (failed.load(std::memory_order_relaxed)) {
-        return;
-      }
       const auto i = static_cast<size_t>(u);
       const int64_t client_id = first_client_id + u;
       Rng rng(base.Fork(static_cast<uint64_t>(client_id)).NextUint64());
-      // Longitudinal clients all sit at level 0 (they report every tick);
-      // the level draw is skipped entirely — not drawn-and-discarded — so
-      // the randomizer seed is the FIRST draw on both the fleet and the
-      // per-client path, keeping them bit-identical.
+      // The level draw is skipped entirely for longitudinal clients — not
+      // drawn-and-discarded — so the randomizer seed is the FIRST draw on
+      // both the fleet and the per-client path, keeping them bit-identical.
       const int level =
-          rand::IsLongitudinalKind(config.randomizer)
-              ? 0
-              : static_cast<int>(rng.NextInt(
-                    static_cast<uint64_t>(config.num_orders())));
-      const int64_t length = config.num_periods >> level;
-      const int64_t support = config.SupportAtLevel(level);
-      auto randomizer = rand::MakeSequenceRandomizer(
-          config.randomizer, length, support, config.epsilon,
-          rng.NextUint64(), config.longitudinal_alpha);
-      if (!randomizer.ok()) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (first_error.ok()) {
-          first_error = randomizer.status();
-        }
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
+          longitudinal ? 0
+                       : static_cast<int>(rng.NextInt(
+                             static_cast<uint64_t>(config.num_orders())));
       fleet.levels_[i] = level;
-      fleet.randomizers_[i] = std::move(*randomizer);
+      fleet.randomizers_[i] = rand::NewRandomizer(
+          local[static_cast<size_t>(level)], rng.NextUint64());
       fleet.registrations_[i] = RegistrationMessage{client_id, level};
     }
   };
@@ -87,7 +89,6 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   } else {
     create_range(0, num_clients);
   }
-  FR_RETURN_NOT_OK(first_error);
 
   // Precompute the nested reporting cohorts (id order within each): client
   // u is due at tick t iff 2^level divides t, i.e. level <= countr_zero(t).

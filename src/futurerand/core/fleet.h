@@ -40,7 +40,10 @@ class ClientFleet {
   /// Creates `num_clients` clients with ids first_client_id..+num_clients-1.
   /// Client with id c draws its level and randomizer noise from
   /// Rng(base_seed).Fork(c).NextUint64() — the same derivation the
-  /// simulation runner uses for per-client seeding. `pool` (optional, not
+  /// simulation runner uses for per-client seeding. One randomizer
+  /// parameter block is built per level (one for the longitudinal kinds)
+  /// and shared by that level's clients, so a config any level rejects
+  /// fails here even if no client draws that level. `pool` (optional, not
   /// owned, must outlive the fleet) parallelizes creation and every
   /// AdvanceTick.
   static Result<ClientFleet> Create(const ProtocolConfig& config,

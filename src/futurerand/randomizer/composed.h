@@ -25,14 +25,15 @@ namespace futurerand::rand {
 /// precomputed alias table, then a uniform random subset of that many
 /// coordinates is flipped — a uniform sample from {-1,+1}^k \ Ann(b).
 ///
-/// Not thread-safe (keeps sampling scratch); each owner uses its own copy.
+/// Immutable after Create; safe to share across threads (all randomness
+/// comes from the caller's Rng).
 class ComposedRandomizer {
  public:
   /// Builds R~ from a finalized annulus spec.
   static Result<ComposedRandomizer> Create(const AnnulusSpec& spec);
 
   /// Applies R~ to `b` using `rng` for all randomness.
-  SignVector Apply(const SignVector& b, Rng* rng);
+  SignVector Apply(const SignVector& b, Rng* rng) const;
 
   const AnnulusSpec& spec() const { return spec_; }
 
@@ -40,7 +41,7 @@ class ComposedRandomizer {
   ComposedRandomizer(const AnnulusSpec& spec, BasicRandomizer basic);
 
   /// Flips a uniformly chosen subset of `count` coordinates of `v`.
-  void FlipRandomSubset(SignVector* v, int64_t count, Rng* rng);
+  void FlipRandomSubset(SignVector* v, int64_t count, Rng* rng) const;
 
   AnnulusSpec spec_;
   BasicRandomizer basic_;
@@ -48,7 +49,6 @@ class ComposedRandomizer {
   // covers all of [0..k].
   std::optional<AliasTable> complement_distances_;
   std::vector<int64_t> complement_values_;  // table slot -> distance
-  std::vector<int64_t> scratch_indices_;    // partial Fisher-Yates buffer
 };
 
 }  // namespace futurerand::rand

@@ -3,53 +3,37 @@
 #include <utility>
 
 #include "futurerand/common/macros.h"
-#include "futurerand/randomizer/composed.h"
 
 namespace futurerand::rand {
 
-FutureRandRandomizer::FutureRandRandomizer(const AnnulusSpec& spec,
-                                           int64_t length, SignVector b_tilde,
-                                           Rng rng)
-    : spec_(spec),
-      length_(length),
-      b_tilde_(std::move(b_tilde)),
-      rng_(rng) {}
+namespace {
 
-Result<std::unique_ptr<FutureRandRandomizer>> FutureRandRandomizer::Create(
-    int64_t length, int64_t max_support, double epsilon, uint64_t seed) {
-  if (length < 1) {
-    return Status::InvalidArgument("sequence length must be >= 1");
-  }
-  // k may exceed L (a client whose level gives it few reports still runs the
-  // randomizer parameterized by the global sparsity budget; Section 5.4's
-  // bounded-support analysis covers any support up to min(k, L)).
-  if (max_support < 1) {
-    return Status::InvalidArgument("require k >= 1");
-  }
-  FR_ASSIGN_OR_RETURN(AnnulusSpec spec,
-                      MakeFutureRandSpec(max_support, epsilon));
-  FR_ASSIGN_OR_RETURN(ComposedRandomizer composed,
-                      ComposedRandomizer::Create(spec));
-
-  // M.init (Algorithm 3 lines 8-11): draw the correlated noise for all
-  // future non-zero inputs now, exploiting the symmetry of the input space.
-  Rng rng(seed);
-  const SignVector all_ones(max_support);  // 1^k
-  SignVector b_tilde = composed.Apply(all_ones, &rng);
-
-  return std::unique_ptr<FutureRandRandomizer>(new FutureRandRandomizer(
-      spec, length, std::move(b_tilde), rng));
+// M.init (Algorithm 3 lines 8-11): draw the correlated noise for all future
+// non-zero inputs now, exploiting the symmetry of the input space.
+SignVector DrawFutureNoise(const RandomizerParams& params, Rng* rng) {
+  FR_CHECK_MSG(params.composed.has_value(),
+               "not a composed-randomizer parameter block");
+  const SignVector all_ones(params.max_support);  // 1^k
+  return params.composed->Apply(all_ones, rng);
 }
+
+}  // namespace
+
+FutureRandRandomizer::FutureRandRandomizer(
+    std::shared_ptr<const RandomizerParams> params, uint64_t seed)
+    : params_(std::move(params)),
+      rng_(seed),
+      b_tilde_(DrawFutureNoise(*params_, &rng_)) {}
 
 int8_t FutureRandRandomizer::Randomize(int8_t value) {
   FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
                "inputs must be in {-1, 0, +1}");
-  FR_CHECK_MSG(position_ < length_, "more inputs than the configured length");
+  FR_CHECK_MSG(position_ < length(), "more inputs than the configured length");
   ++position_;
   if (value == 0) {
     return rng_.NextSign();
   }
-  if (support_used_ >= spec_.k) {
+  if (support_used_ >= max_support()) {
     // Over-budget non-zero input: fall back to the zero-coordinate law so
     // the output distribution (and thus the privacy certificate) is
     // unchanged; the report merely carries no signal.
@@ -60,31 +44,6 @@ int8_t FutureRandRandomizer::Randomize(int8_t value) {
   const int8_t noise = b_tilde_.Get(support_used_);
   ++support_used_;
   return static_cast<int8_t>(value * noise);
-}
-
-std::span<int8_t> FutureRandRandomizer::Randomize(
-    std::span<const int8_t> values, std::span<int8_t> out) {
-  FR_CHECK_MSG(out.size() >= values.size(),
-               "batch output must be at least as large as the input");
-  // Hoisted from the scalar loop: one bound check covers the whole batch.
-  FR_CHECK_MSG(position_ + static_cast<int64_t>(values.size()) <= length_,
-               "more inputs than the configured length");
-  for (size_t i = 0; i < values.size(); ++i) {
-    const int8_t value = values[i];
-    FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-                 "inputs must be in {-1, 0, +1}");
-    if (value == 0) {
-      out[i] = rng_.NextSign();
-    } else if (support_used_ >= spec_.k) {
-      ++support_overflow_count_;
-      out[i] = rng_.NextSign();
-    } else {
-      out[i] = static_cast<int8_t>(value * b_tilde_.Get(support_used_));
-      ++support_used_;
-    }
-  }
-  position_ += static_cast<int64_t>(values.size());
-  return out.first(values.size());
 }
 
 }  // namespace futurerand::rand

@@ -5,6 +5,14 @@
 // the j-th non-zero input v is answered with v * b~_nnz and zero inputs with
 // a uniform sign. Sections 5.3-5.4 show this preserves Properties I-III for
 // any support size up to k.
+//
+// The same pre-computation shell runs the Bun-Nelson-Stemmer composed
+// randomizer (Appendix A.2, kind kBun), so the two constructions are
+// compared apples-to-apples in experiment E6: only the annulus of the
+// shared parameter block differs. Bun et al.'s is the symmetric
+// kp -+ sqrt((k/2) ln(2/lambda)) band of Equation 43 with the (lambda, eps~)
+// constraint system of Fact A.6; Theorem A.8 shows its gap is
+// c_gap in O(eps/sqrt(k ln(k/eps)) + (eps/(k ln(k/eps)))^{2/3}).
 
 #ifndef FUTURERAND_RANDOMIZER_FUTURE_RAND_H_
 #define FUTURERAND_RANDOMIZER_FUTURE_RAND_H_
@@ -14,57 +22,51 @@
 #include <string>
 
 #include "futurerand/common/random.h"
-#include "futurerand/common/result.h"
 #include "futurerand/common/sign_vector.h"
 #include "futurerand/randomizer/annulus.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
 
-/// The paper's randomizer M (Algorithm 3). See SequenceRandomizer for the
-/// contract; this construction achieves c_gap in Omega(eps / sqrt k).
+/// The paper's randomizer M (Algorithm 3), for kFutureRand and kBun
+/// parameter blocks. See SequenceRandomizer for the contract.
 class FutureRandRandomizer final : public SequenceRandomizer {
  public:
-  /// Pre-computes b~ = R~(1^k). `length` is L, `max_support` is k (both
-  /// >= 1, k <= L); 0 < epsilon <= 1. All randomness derives from `seed`.
-  static Result<std::unique_ptr<FutureRandRandomizer>> Create(
-      int64_t length, int64_t max_support, double epsilon, uint64_t seed);
+  /// M.init (Algorithm 3 lines 8-11): pre-computes b~ = R~(1^k) from
+  /// `seed`, which determines all of the instance's randomness. `params`
+  /// must be a kFutureRand or kBun MakeRandomizerParams block.
+  FutureRandRandomizer(std::shared_ptr<const RandomizerParams> params,
+                       uint64_t seed);
 
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
-  double c_gap() const override { return spec_.c_gap; }
-  int64_t length() const override { return length_; }
-  int64_t max_support() const override { return spec_.k; }
-  double epsilon() const override { return spec_.epsilon; }
+  double c_gap() const override { return params_->c_gap; }
+  int64_t length() const override { return params_->length; }
+  int64_t max_support() const override { return params_->max_support; }
+  double epsilon() const override { return params_->epsilon; }
   int64_t position() const override { return position_; }
   int64_t support_used() const override { return support_used_; }
   int64_t support_overflow_count() const override {
     return support_overflow_count_;
   }
-  std::string name() const override { return "future_rand"; }
+  std::string name() const override {
+    return RandomizerKindToString(params_->kind);
+  }
 
   /// The exact privacy ratio ln(p'_max/p'_min) this instance certifies
   /// (always <= epsilon; Lemma 5.2).
-  double certified_epsilon() const { return spec_.certified_epsilon; }
+  double certified_epsilon() const { return spec().certified_epsilon; }
 
-  /// Parameterization details (annulus bounds, P*_out, ...).
-  const AnnulusSpec& spec() const { return spec_; }
+  /// Parameterization details (annulus bounds, P*_out, Bun's lambda, ...).
+  const AnnulusSpec& spec() const { return params_->composed->spec(); }
 
   /// The pre-computed noise vector b~ (exposed for tests: the online output
   /// on non-zero inputs must equal v * b~_nnz exactly).
   const SignVector& precomputed_noise() const { return b_tilde_; }
 
  private:
-  FutureRandRandomizer(const AnnulusSpec& spec, int64_t length,
-                       SignVector b_tilde, Rng rng);
-
-  AnnulusSpec spec_;
-  int64_t length_;
-  SignVector b_tilde_;
+  std::shared_ptr<const RandomizerParams> params_;
   Rng rng_;
+  SignVector b_tilde_;
   int64_t position_ = 0;
   int64_t support_used_ = 0;
   int64_t support_overflow_count_ = 0;

@@ -1,81 +1,34 @@
 #include "futurerand/randomizer/independent.h"
 
+#include <utility>
+
 #include "futurerand/common/macros.h"
 
 namespace futurerand::rand {
 
-IndependentRandomizer::IndependentRandomizer(int64_t length,
-                                             int64_t max_support,
-                                             double epsilon,
-                                             BasicRandomizer basic, Rng rng)
-    : length_(length),
-      max_support_(max_support),
-      epsilon_(epsilon),
-      basic_(basic),
-      rng_(rng) {}
-
-Result<std::unique_ptr<IndependentRandomizer>> IndependentRandomizer::Create(
-    int64_t length, int64_t max_support, double epsilon, uint64_t seed) {
-  if (length < 1) {
-    return Status::InvalidArgument("sequence length must be >= 1");
-  }
-  if (max_support < 1) {
-    return Status::InvalidArgument("require k >= 1");
-  }
-  if (!(epsilon > 0.0) || !(epsilon <= 1.0)) {
-    return Status::InvalidArgument(
-        "the construction is analyzed for 0 < epsilon <= 1");
-  }
-  // Budget split: each of the at-most-k non-zero coordinates consumes
-  // eps/k; zeros are data-independent.
-  FR_ASSIGN_OR_RETURN(
-      BasicRandomizer basic,
-      BasicRandomizer::Create(epsilon / static_cast<double>(max_support)));
-  return std::unique_ptr<IndependentRandomizer>(new IndependentRandomizer(
-      length, max_support, epsilon, basic, Rng(seed)));
+IndependentRandomizer::IndependentRandomizer(
+    std::shared_ptr<const RandomizerParams> params, uint64_t seed)
+    : params_(std::move(params)), rng_(seed) {
+  FR_CHECK_MSG(params_->basic.has_value(),
+               "not an independent-randomizer parameter block");
 }
 
 int8_t IndependentRandomizer::Randomize(int8_t value) {
   FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
                "inputs must be in {-1, 0, +1}");
-  FR_CHECK_MSG(position_ < length_, "more inputs than the configured length");
+  FR_CHECK_MSG(position_ < length(), "more inputs than the configured length");
   ++position_;
   if (value == 0) {
     return rng_.NextSign();
   }
-  if (support_used_ >= max_support_) {
+  if (support_used_ >= max_support()) {
     // Same over-budget clamp as FutureRand: uniform output keeps the
     // composition argument (k randomized responses at eps/k each) intact.
     ++support_overflow_count_;
     return rng_.NextSign();
   }
   ++support_used_;
-  return basic_.Apply(value, &rng_);
-}
-
-std::span<int8_t> IndependentRandomizer::Randomize(
-    std::span<const int8_t> values, std::span<int8_t> out) {
-  FR_CHECK_MSG(out.size() >= values.size(),
-               "batch output must be at least as large as the input");
-  // Hoisted from the scalar loop: one bound check covers the whole batch.
-  FR_CHECK_MSG(position_ + static_cast<int64_t>(values.size()) <= length_,
-               "more inputs than the configured length");
-  for (size_t i = 0; i < values.size(); ++i) {
-    const int8_t value = values[i];
-    FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-                 "inputs must be in {-1, 0, +1}");
-    if (value == 0) {
-      out[i] = rng_.NextSign();
-    } else if (support_used_ >= max_support_) {
-      ++support_overflow_count_;
-      out[i] = rng_.NextSign();
-    } else {
-      ++support_used_;
-      out[i] = basic_.Apply(value, &rng_);
-    }
-  }
-  position_ += static_cast<int64_t>(values.size());
-  return out.first(values.size());
+  return params_->basic->Apply(value, &rng_);
 }
 
 }  // namespace futurerand::rand

@@ -12,8 +12,6 @@
 #include <string>
 
 #include "futurerand/common/random.h"
-#include "futurerand/common/result.h"
-#include "futurerand/randomizer/basic.h"
 #include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
@@ -21,19 +19,16 @@ namespace futurerand::rand {
 /// Example 4.2's randomizer. See SequenceRandomizer for the contract.
 class IndependentRandomizer final : public SequenceRandomizer {
  public:
-  /// `length` is L, `max_support` is k (1 <= k <= L); 0 < epsilon <= 1.
-  static Result<std::unique_ptr<IndependentRandomizer>> Create(
-      int64_t length, int64_t max_support, double epsilon, uint64_t seed);
+  /// `params` must be a kIndependent MakeRandomizerParams block; k may
+  /// exceed L, as for FutureRand. All randomness derives from `seed`.
+  IndependentRandomizer(std::shared_ptr<const RandomizerParams> params,
+                        uint64_t seed);
 
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
-  double c_gap() const override { return basic_.c_gap(); }
-  int64_t length() const override { return length_; }
-  int64_t max_support() const override { return max_support_; }
-  double epsilon() const override { return epsilon_; }
+  double c_gap() const override { return params_->c_gap; }
+  int64_t length() const override { return params_->length; }
+  int64_t max_support() const override { return params_->max_support; }
+  double epsilon() const override { return params_->epsilon; }
   int64_t position() const override { return position_; }
   int64_t support_used() const override { return support_used_; }
   int64_t support_overflow_count() const override {
@@ -42,13 +37,7 @@ class IndependentRandomizer final : public SequenceRandomizer {
   std::string name() const override { return "independent"; }
 
  private:
-  IndependentRandomizer(int64_t length, int64_t max_support, double epsilon,
-                        BasicRandomizer basic, Rng rng);
-
-  int64_t length_;
-  int64_t max_support_;
-  double epsilon_;
-  BasicRandomizer basic_;
+  std::shared_ptr<const RandomizerParams> params_;
   Rng rng_;
   int64_t position_ = 0;
   int64_t support_used_ = 0;

@@ -103,31 +103,20 @@ Result<LongitudinalSpec> MakeLongitudinalSpec(RandomizerKind kind,
   return spec;
 }
 
-LongitudinalRandomizer::LongitudinalRandomizer(const LongitudinalSpec& spec,
-                                               int64_t length,
-                                               const State& state)
-    : spec_(spec), length_(length), state_(state) {}
-
-Result<std::unique_ptr<LongitudinalRandomizer>> LongitudinalRandomizer::Create(
-    RandomizerKind kind, int64_t length, double epsilon, double alpha,
-    uint64_t seed) {
-  if (length < 1) {
-    return Status::InvalidArgument("sequence length must be >= 1");
-  }
-  FR_ASSIGN_OR_RETURN(const LongitudinalSpec spec,
-                      MakeLongitudinalSpec(kind, epsilon, alpha));
-  State state;
-  state.rng_state = seed;
-  if (kind == RandomizerKind::kLoloha) {
+LongitudinalRandomizer::LongitudinalRandomizer(
+    std::shared_ptr<const RandomizerParams> params, uint64_t seed)
+    : params_(std::move(params)) {
+  FR_CHECK_MSG(params_->longitudinal.has_value(),
+               "not a longitudinal parameter block");
+  state_.rng_state = seed;
+  if (params_->kind == RandomizerKind::kLoloha) {
     // One permanent hash seed shared by every value — the LOLOHA
     // domain-reduction trick. Both slots alias it so the per-value lookup
     // below is kind-agnostic.
-    const uint64_t shared = SplitMix64Next(&state.rng_state);
-    state.hash_seed[0] = shared;
-    state.hash_seed[1] = shared;
+    const uint64_t shared = SplitMix64Next(&state_.rng_state);
+    state_.hash_seed[0] = shared;
+    state_.hash_seed[1] = shared;
   }
-  return std::unique_ptr<LongitudinalRandomizer>(
-      new LongitudinalRandomizer(spec, length, state));
 }
 
 int32_t LongitudinalRandomizer::GrrSample(int32_t input,
@@ -137,7 +126,8 @@ int32_t LongitudinalRandomizer::GrrSample(int32_t input,
   }
   // Uniform among the other g - 1 values.
   const auto j = static_cast<int32_t>(
-      SplitMix64Next(&state_.rng_state) % static_cast<uint64_t>(spec_.g - 1));
+      SplitMix64Next(&state_.rng_state) %
+      static_cast<uint64_t>(spec().g - 1));
   return j >= input ? j + 1 : j;
 }
 
@@ -146,22 +136,22 @@ int32_t LongitudinalRandomizer::MemoizedFirstRound(int v) {
   if (memo >= 0) {
     return memo;
   }
-  if (spec_.kind == RandomizerKind::kLOlh) {
+  if (spec().kind == RandomizerKind::kLOlh) {
     // L-LH draws a fresh hash seed alongside each value's permanent
     // sanitization (the reference implementation memoizes the pair).
     state_.hash_seed[v] = SplitMix64Next(&state_.rng_state);
   }
-  const int32_t input = spec_.kind == RandomizerKind::kLGrr
+  const int32_t input = spec().kind == RandomizerKind::kLGrr
                             ? v
-                            : HashValueToG(state_.hash_seed[v], v, spec_.g);
-  memo = GrrSample(input, spec_.p1);
+                            : HashValueToG(state_.hash_seed[v], v, spec().g);
+  memo = GrrSample(input, spec().p1);
   return memo;
 }
 
 int8_t LongitudinalRandomizer::Randomize(int8_t value) {
   FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
                "inputs must be in {-1, 0, +1}");
-  FR_CHECK_MSG(state_.position < length_,
+  FR_CHECK_MSG(state_.position < length(),
                "more inputs than the configured length");
   const int next = state_.tracked_state + value;
   FR_CHECK_MSG(next == 0 || next == 1,
@@ -171,51 +161,20 @@ int8_t LongitudinalRandomizer::Randomize(int8_t value) {
     ++state_.changes;
   }
   state_.tracked_state = static_cast<int8_t>(next);
-  const int32_t second = GrrSample(MemoizedFirstRound(next), spec_.p2);
-  if (spec_.kind == RandomizerKind::kLGrr) {
+  const int32_t second = GrrSample(MemoizedFirstRound(next), spec().p2);
+  if (spec().kind == RandomizerKind::kLGrr) {
     return second == 1 ? int8_t{1} : int8_t{-1};
   }
   // Support bit against the hash of candidate value 1 under the seed that
   // produced this report's memoized round (the estimator's u1/u0 are
   // derived for exactly this comparison).
-  const int32_t candidate = HashValueToG(state_.hash_seed[next], 1, spec_.g);
+  const int32_t candidate =
+      HashValueToG(state_.hash_seed[next], 1, spec().g);
   return second == candidate ? int8_t{1} : int8_t{-1};
 }
 
-std::span<int8_t> LongitudinalRandomizer::Randomize(
-    std::span<const int8_t> values, std::span<int8_t> out) {
-  FR_CHECK_MSG(out.size() >= values.size(),
-               "batch output must be at least as large as the input");
-  // Hoisted from the scalar loop: one bound check covers the whole batch.
-  FR_CHECK_MSG(
-      state_.position + static_cast<int64_t>(values.size()) <= length_,
-      "more inputs than the configured length");
-  for (size_t i = 0; i < values.size(); ++i) {
-    const int8_t value = values[i];
-    FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-                 "inputs must be in {-1, 0, +1}");
-    const int next = state_.tracked_state + value;
-    FR_CHECK_MSG(next == 0 || next == 1,
-                 "derivative would move the Boolean state outside {0,1}");
-    ++state_.position;
-    if (value != 0) {
-      ++state_.changes;
-    }
-    state_.tracked_state = static_cast<int8_t>(next);
-    const int32_t second = GrrSample(MemoizedFirstRound(next), spec_.p2);
-    if (spec_.kind == RandomizerKind::kLGrr) {
-      out[i] = second == 1 ? int8_t{1} : int8_t{-1};
-    } else {
-      const int32_t candidate =
-          HashValueToG(state_.hash_seed[next], 1, spec_.g);
-      out[i] = second == candidate ? int8_t{1} : int8_t{-1};
-    }
-  }
-  return out.first(values.size());
-}
-
 std::string LongitudinalRandomizer::name() const {
-  return RandomizerKindToString(spec_.kind);
+  return RandomizerKindToString(params_->kind);
 }
 
 Status LongitudinalRandomizer::ImportState(const State& state) {
@@ -225,7 +184,7 @@ Status LongitudinalRandomizer::ImportState(const State& state) {
 }
 
 Status LongitudinalRandomizer::ValidateState(const State& state) const {
-  if (state.position < 0 || state.position > length_) {
+  if (state.position < 0 || state.position > length()) {
     return Status::InvalidArgument("imported position outside [0, length]");
   }
   if (state.tracked_state != 0 && state.tracked_state != 1) {
@@ -236,11 +195,11 @@ Status LongitudinalRandomizer::ValidateState(const State& state) const {
   }
   for (int v = 0; v < 2; ++v) {
     if (state.memo[v] < -1 ||
-        state.memo[v] >= static_cast<int32_t>(spec_.g)) {
+        state.memo[v] >= static_cast<int32_t>(spec().g)) {
       return Status::InvalidArgument("imported memo value outside [-1, g)");
     }
   }
-  switch (spec_.kind) {
+  switch (spec().kind) {
     case RandomizerKind::kLGrr:
       // Pure GRR never draws hash seeds; non-zero ones mean a forged or
       // cross-kind blob.

@@ -46,31 +46,10 @@
 
 namespace futurerand::rand {
 
-/// The exact two-round GRR parameterization of one longitudinal kind for
-/// (eps_perm, alpha). Pure arithmetic — shared by the randomizer, the
-/// server's estimator plumbing and the statistical gate.
-struct LongitudinalSpec {
-  RandomizerKind kind = RandomizerKind::kLGrr;
-  double eps_perm = 0.0;  // full-sequence privacy bound (the config epsilon)
-  double eps_1 = 0.0;     // single-report lower bound, alpha * eps_perm
-  double alpha = 0.0;     // eps_1 / eps_perm, in (0, 1)
-  int64_t g = 2;          // GRR domain size (2 for kLGrr; optimal-g else)
-  double p1 = 0.0;        // round-1 keep probability e^eps_perm/(e^eps_perm+g-1)
-  double q1 = 0.0;        // (1 - p1) / (g - 1)
-  double p2 = 0.0;        // round-2 keep probability (derived, see .cc)
-  double q2 = 0.0;        // (1 - p2) / (g - 1)
-  double p_stay = 0.0;    // Pr[sanitized == memoized input] = p1*p2+(g-1)*q1*q2
-  double u1 = 0.0;        // E[+/-1 report | true value 1]
-  double u0 = 0.0;        // E[+/-1 report | true value 0]
-
-  /// The estimator's sensitivity gap u1 - u0 (> 0 for every valid spec).
-  double gap() const { return u1 - u0; }
-};
-
-/// Computes the exact spec for the kind. Errors unless 0 < epsilon <= 1
-/// (the repo's regime), 0 < alpha < 1, and the derived round-2
-/// probabilities are non-negative (alpha too close to 1 makes p2 negative
-/// for some g — the SNIPPETS reference rejects those too).
+/// Computes the exact LongitudinalSpec (randomizer.h) for the kind. Errors
+/// unless 0 < epsilon <= 1 (the repo's regime), 0 < alpha < 1, and the
+/// derived round-2 probabilities are non-negative (alpha too close to 1
+/// makes p2 negative for some g — the SNIPPETS reference rejects those too).
 Result<LongitudinalSpec> MakeLongitudinalSpec(RandomizerKind kind,
                                               double epsilon, double alpha);
 
@@ -96,33 +75,27 @@ class LongitudinalRandomizer : public SequenceRandomizer {
     int32_t memo[2] = {-1, -1};
   };
 
-  /// Creates a length-L randomizer. `max_support` is accepted for factory
-  /// signature uniformity but ignored: a longitudinal client reports every
-  /// tick and never clamps (max_support() == length()). All randomness —
-  /// the kLoloha permanent seed included — derives from `seed`.
-  static Result<std::unique_ptr<LongitudinalRandomizer>> Create(
-      RandomizerKind kind, int64_t length, double epsilon, double alpha,
-      uint64_t seed);
-
-  // Bring the base-class batch overload alongside the scalar override.
-  using SequenceRandomizer::Randomize;
+  /// Creation-time state of one client: the SplitMix64 chain starts at
+  /// `seed`, and kLoloha draws its one permanent hash seed from it here.
+  /// `params` must be a longitudinal MakeRandomizerParams block. The
+  /// instance never clamps: max_support() == length().
+  LongitudinalRandomizer(std::shared_ptr<const RandomizerParams> params,
+                         uint64_t seed);
 
   /// `value` is the level-0 partial sum, i.e. the derivative in {-1,0,+1};
   /// the implied state must stay in {0,1} (the fleet validates this).
   int8_t Randomize(int8_t value) override;
-  std::span<int8_t> Randomize(std::span<const int8_t> values,
-                              std::span<int8_t> out) override;
 
-  double c_gap() const override { return spec_.gap(); }
-  int64_t length() const override { return length_; }
-  int64_t max_support() const override { return length_; }
-  double epsilon() const override { return spec_.eps_perm; }
+  double c_gap() const override { return params_->c_gap; }
+  int64_t length() const override { return params_->length; }
+  int64_t max_support() const override { return params_->length; }
+  double epsilon() const override { return spec().eps_perm; }
   int64_t position() const override { return state_.position; }
   int64_t support_used() const override { return state_.changes; }
   int64_t support_overflow_count() const override { return 0; }
   std::string name() const override;
 
-  const LongitudinalSpec& spec() const { return spec_; }
+  const LongitudinalSpec& spec() const { return *params_->longitudinal; }
 
   /// The full mutable state, for FRW fleet snapshots.
   State ExportState() const { return state_; }
@@ -138,9 +111,6 @@ class LongitudinalRandomizer : public SequenceRandomizer {
   Status ValidateState(const State& state) const;
 
  private:
-  LongitudinalRandomizer(const LongitudinalSpec& spec, int64_t length,
-                         const State& state);
-
   // Two-round GRR over [0, g), consuming draws from the SplitMix64 chain.
   int32_t GrrSample(int32_t input, double keep_probability);
 
@@ -148,8 +118,7 @@ class LongitudinalRandomizer : public SequenceRandomizer {
   // kLOlh) and the memoized first-round value, sampling it on first use.
   int32_t MemoizedFirstRound(int v);
 
-  LongitudinalSpec spec_;
-  int64_t length_ = 0;
+  std::shared_ptr<const RandomizerParams> params_;
   State state_;
 };
 

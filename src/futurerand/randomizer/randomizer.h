@@ -20,16 +20,20 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 
-#include "futurerand/common/random.h"
 #include "futurerand/common/result.h"
+#include "futurerand/randomizer/basic.h"
+#include "futurerand/randomizer/composed.h"
 
 namespace futurerand::rand {
 
-/// Online randomizer for one user's report sequence. Not thread-safe; each
-/// client owns one instance per tracked sequence.
+/// Online randomizer for one user's report sequence: a pointer to its
+/// shared RandomizerParams plus the user's own mutable state (RNG, position,
+/// support counters, pre-computed noise). Not thread-safe; each client owns
+/// one instance per tracked sequence.
 class SequenceRandomizer {
  public:
   virtual ~SequenceRandomizer() = default;
@@ -42,19 +46,6 @@ class SequenceRandomizer {
   /// zeros (uniform output) so the privacy certificate never degrades;
   /// support_overflow_count() reports how many inputs were clamped.
   virtual int8_t Randomize(int8_t value) = 0;
-
-  /// Batch form: perturbs values[i] into out[i] for consecutive positions
-  /// j, j+1, ..., advancing position() by values.size(). Requires
-  /// out.size() >= values.size(); `out` may alias `values`. Returns the
-  /// filled prefix of `out`.
-  ///
-  /// Bit-identity contract: the outputs and all state transitions (position,
-  /// support usage, RNG stream) are exactly those of calling the scalar
-  /// Randomize once per element in order — the base implementation is that
-  /// loop, and overrides may only hoist invariant checks out of it, never
-  /// change per-element arithmetic or RNG consumption order.
-  virtual std::span<int8_t> Randomize(std::span<const int8_t> values,
-                                      std::span<int8_t> out);
 
   /// Exact common gap Pr[keep] - Pr[flip] for non-zero inputs (Property II).
   virtual double c_gap() const = 0;
@@ -87,7 +78,7 @@ enum class RandomizerKind {
   kFutureRand,   // Section 5 (Algorithm 3): composed + pre-computation
   kIndependent,  // Example 4.2: per-coordinate RR(eps/k)
   kBun,          // Appendix A.2: Bun et al. composed randomizer
-  kAdaptive,     // max-c_gap choice among certified constructions
+  kAdaptive,     // resolves to kFutureRand or kIndependent, larger c_gap
   // The Arcolezi-line memoized longitudinal constructions (see
   // randomizer/longitudinal.h): level-0 clients, every-tick reports, and a
   // direct (non-dyadic) server estimator with offset u0 and gap u1 - u0.
@@ -128,21 +119,79 @@ const char* RandomizerKindToString(RandomizerKind kind);
 /// surface shares.
 Result<RandomizerKind> ParseRandomizerKind(const std::string& name);
 
-/// Creates a randomizer of the given kind for a length-L sequence with at
-/// most k non-zero entries under budget epsilon (0 < epsilon <= 1, the
-/// paper's regime). `seed` determines all of the instance's randomness.
-/// `alpha` only matters for the longitudinal kinds (the eps_1/eps_perm
-/// split, in (0, 1)); the dyadic constructions ignore it, and the
-/// longitudinal ones ignore max_support (they report every tick).
+/// The exact two-round GRR parameterization of one longitudinal kind for
+/// (eps_perm, alpha), computed by MakeLongitudinalSpec
+/// (randomizer/longitudinal.h). Pure arithmetic — shared by the randomizer,
+/// the server's estimator plumbing and the statistical gate.
+struct LongitudinalSpec {
+  RandomizerKind kind = RandomizerKind::kLGrr;
+  double eps_perm = 0.0;  // full-sequence privacy bound (the config epsilon)
+  double eps_1 = 0.0;     // single-report lower bound, alpha * eps_perm
+  double alpha = 0.0;     // eps_1 / eps_perm, in (0, 1)
+  int64_t g = 2;          // GRR domain size (2 for kLGrr; optimal-g else)
+  double p1 = 0.0;        // round-1 keep probability e^eps_perm/(e^eps_perm+g-1)
+  double q1 = 0.0;        // (1 - p1) / (g - 1)
+  double p2 = 0.0;        // round-2 keep probability (derived, see .cc)
+  double q2 = 0.0;        // (1 - p2) / (g - 1)
+  double p_stay = 0.0;    // Pr[sanitized == memoized input] = p1*p2+(g-1)*q1*q2
+  double u1 = 0.0;        // E[+/-1 report | true value 1]
+  double u0 = 0.0;        // E[+/-1 report | true value 0]
+
+  /// The estimator's sensitivity gap u1 - u0 (> 0 for every valid spec).
+  double gap() const { return u1 - u0; }
+};
+
+/// The user-independent half of a sequence randomizer: everything M.init
+/// computes from (kind, L, k, epsilon, alpha) alone. Built and validated
+/// once by MakeRandomizerParams, then immutable — one block is shared,
+/// across threads too, by every instance NewRandomizer stamps out of it.
+struct RandomizerParams {
+  /// The construction the instances run. Never kAdaptive: that kind
+  /// resolves at build time to whichever of kFutureRand and kIndependent
+  /// has the larger exact c_gap (ties go to kFutureRand).
+  RandomizerKind kind = RandomizerKind::kFutureRand;
+  int64_t length = 0;       // L
+  int64_t max_support = 0;  // k (== length for the longitudinal kinds)
+  double epsilon = 0.0;
+  double c_gap = 0.0;       // the exact gap every instance reports
+
+  /// kFutureRand / kBun: the finalized annulus and its R~ sampler.
+  std::optional<ComposedRandomizer> composed;
+  /// kIndependent: randomized response at eps/k per non-zero coordinate.
+  std::optional<BasicRandomizer> basic;
+  /// Longitudinal kinds: the two-round GRR parameterization.
+  std::optional<LongitudinalSpec> longitudinal;
+};
+
+/// Validates and builds the parameter block of a randomizer of the given
+/// kind for a length-L sequence with at most k non-zero entries under
+/// budget epsilon (0 < epsilon <= 1, the paper's regime). `alpha` only
+/// matters for the longitudinal kinds (the eps_1/eps_perm split, in
+/// (0, 1)); the dyadic constructions ignore it, and the longitudinal ones
+/// ignore max_support (they report every tick). k may exceed L: a client
+/// whose level gives it few reports still runs the randomizer
+/// parameterized by the global sparsity budget.
+Result<std::shared_ptr<const RandomizerParams>> MakeRandomizerParams(
+    RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
+    double alpha = 0.5);
+
+/// Stamps out one instance of `params` (non-null, from
+/// MakeRandomizerParams). `seed` determines all of the instance's
+/// randomness. Cannot fail: every check ran when the block was built.
+std::unique_ptr<SequenceRandomizer> NewRandomizer(
+    std::shared_ptr<const RandomizerParams> params, uint64_t seed);
+
+/// MakeRandomizerParams followed by NewRandomizer, for a single instance.
 Result<std::unique_ptr<SequenceRandomizer>> MakeSequenceRandomizer(
     RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
     uint64_t seed, double alpha = 0.5);
 
 /// Exact c_gap the given construction achieves for (k, epsilon), without
-/// instantiating a randomizer. Used by the server for debiasing and by the
-/// c_gap comparison experiment (E6). For the longitudinal kinds this is
-/// the direct estimator's sensitivity gap u1 - u0 at the given `alpha`
-/// (max_support is ignored there).
+/// instantiating a randomizer: the c_gap of its MakeRandomizerParams block,
+/// so it is bit-identical to every instance's c_gap(). Used by the server
+/// for debiasing and by the c_gap comparison experiment (E6). For the
+/// longitudinal kinds this is the direct estimator's sensitivity gap
+/// u1 - u0 at the given `alpha` (max_support is ignored there).
 Result<double> ExactCGap(RandomizerKind kind, int64_t max_support,
                          double epsilon, double alpha = 0.5);
 

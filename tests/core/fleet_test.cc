@@ -4,8 +4,11 @@
 // contract that lets the simulation runner and the throughput bench use the
 // batch path without changing any experiment's numbers.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +17,9 @@
 #include "futurerand/common/threadpool.h"
 #include "futurerand/core/client.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
+#include "futurerand/sim/workload.h"
 
 namespace futurerand::core {
 namespace {
@@ -121,6 +126,68 @@ TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
   }
 }
 
+// Cross-commit golden digests. Every other twin in this file compares two
+// paths of the same build, so a drift shared by the fleet and core::Client
+// would pass them. These FNV-1a digests were recorded from the fleet as it
+// stood before randomizer parameters became shared per level (when every
+// client still built its own spec and noise sampler); any change to the
+// seed derivation, the parameterization or the RNG consumption order
+// breaks them.
+struct GoldenDigest {
+  rand::RandomizerKind kind;
+  uint64_t reports;  // Fnv1a64 of every tick's EncodeReportBatch, in order
+  uint64_t state;    // Fnv1a64 of the final EncodeLongitudinalState blob
+};
+
+constexpr GoldenDigest kGoldenDigests[] = {
+    {rand::RandomizerKind::kFutureRand, 0x2ffeb2885ac2da41, 0},
+    {rand::RandomizerKind::kIndependent, 0xcc285ca31e48a775, 0},
+    {rand::RandomizerKind::kBun, 0x8bd82641ed7f7e5a, 0},
+    // At k = 2 Independent's exact gap is the larger, so kAdaptive's
+    // reports are Independent's.
+    {rand::RandomizerKind::kAdaptive, 0xcc285ca31e48a775, 0},
+    {rand::RandomizerKind::kLGrr, 0x6d1542b212df43cd, 0x43abb653da5e5331},
+    {rand::RandomizerKind::kLOlh, 0xd8ad10e5d6eec36e, 0x243816b6d8814f74},
+    {rand::RandomizerKind::kLoloha, 0xbd4ad64e91032017, 0x8a7c357dbe1b26c7},
+};
+
+TEST_P(FleetKindTest, ReportBytesMatchRecordedGoldenDigests) {
+  const rand::RandomizerKind kind = GetParam();
+  const ProtocolConfig config = TestConfig(kind, 16, 2);
+  const int64_t n = 257;
+  sim::WorkloadConfig workload_config;
+  workload_config.kind = sim::WorkloadKind::kUniformChanges;
+  workload_config.num_users = n;
+  workload_config.num_periods = config.num_periods;
+  workload_config.max_changes = config.max_changes;
+  const sim::Workload workload =
+      sim::Workload::Generate(workload_config, 2024).ValueOrDie();
+
+  ClientFleet fleet = ClientFleet::Create(config, n, 99).ValueOrDie();
+  std::vector<int8_t> states(static_cast<size_t>(n));
+  ReportBatch batch;
+  std::string report_bytes;
+  for (int64_t t = 1; t <= config.num_periods; ++t) {
+    for (int64_t u = 0; u < n; ++u) {
+      states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
+    }
+    ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+    report_bytes += EncodeReportBatch(batch).ValueOrDie();
+  }
+
+  const auto* golden = std::find_if(
+      std::begin(kGoldenDigests), std::end(kGoldenDigests),
+      [&](const GoldenDigest& entry) { return entry.kind == kind; });
+  ASSERT_NE(golden, std::end(kGoldenDigests));
+  EXPECT_EQ(wire_internal::Fnv1a64(report_bytes), golden->reports)
+      << std::hex << wire_internal::Fnv1a64(report_bytes);
+  if (rand::IsLongitudinalKind(kind)) {
+    const std::string state = fleet.EncodeLongitudinalState().ValueOrDie();
+    EXPECT_EQ(wire_internal::Fnv1a64(state), golden->state)
+        << std::hex << wire_internal::Fnv1a64(state);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRandomizers, FleetKindTest,
                          ::testing::ValuesIn(rand::AllRandomizerKinds()),
                          [](const ::testing::TestParamInfo<
@@ -202,11 +269,9 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
 }
 
 TEST(FleetTest, PoisonedConfigReturnsFirstErrorPooledAndSerial) {
-  // Regression: the pooled Create path used to keep constructing
-  // randomizers (each pre-computes a noise vector) after the first chunk
-  // had already failed — O(n) wasted work before surfacing the error. The
-  // short-circuit must not change what is reported: both execution modes
-  // return the factory's first error for a poisoned randomizer kind.
+  // Create builds every level's parameter block before any client, so a
+  // poisoned randomizer kind fails up front with the factory's error, and
+  // both execution modes report the same thing.
   ProtocolConfig poisoned =
       TestConfig(rand::RandomizerKind::kFutureRand, 16, 2);
   poisoned.randomizer = static_cast<rand::RandomizerKind>(99);

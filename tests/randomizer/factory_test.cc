@@ -1,6 +1,9 @@
 #include "futurerand/randomizer/randomizer.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +52,34 @@ TEST(FactoryTest, ExactCGapMatchesInstances) {
         MakeSequenceRandomizer(kind, 64, 32, 1.0, 9).ValueOrDie();
     EXPECT_DOUBLE_EQ(randomizer->c_gap(), exact)
         << RandomizerKindToString(kind);
+  }
+}
+
+TEST(FactoryTest, SharedParamsStampOutIndependentInstances) {
+  // Two instances of one block share nothing mutable: with their calls
+  // interleaved, each still matches a MakeSequenceRandomizer instance of
+  // the same seed output for output. Inputs alternate sign so the
+  // longitudinal kinds' integrated state stays in {0,1}.
+  for (RandomizerKind kind : AllRandomizerKinds()) {
+    const std::shared_ptr<const RandomizerParams> params =
+        MakeRandomizerParams(kind, 16, 4, 1.0).ValueOrDie();
+    EXPECT_NE(params->kind, RandomizerKind::kAdaptive);
+    EXPECT_EQ(std::bit_cast<uint64_t>(params->c_gap),
+              std::bit_cast<uint64_t>(ExactCGap(kind, 4, 1.0).ValueOrDie()))
+        << RandomizerKindToString(kind);
+    auto a = NewRandomizer(params, 5);
+    auto b = NewRandomizer(params, 6);
+    auto twin_a = MakeSequenceRandomizer(kind, 16, 4, 1.0, 5).ValueOrDie();
+    auto twin_b = MakeSequenceRandomizer(kind, 16, 4, 1.0, 6).ValueOrDie();
+    for (int j = 0; j < 16; ++j) {
+      const int8_t v =
+          j % 4 != 0 ? int8_t{0} : (j % 8 == 0 ? int8_t{1} : int8_t{-1});
+      EXPECT_EQ(a->Randomize(v), twin_a->Randomize(v))
+          << RandomizerKindToString(kind) << " j=" << j;
+      EXPECT_EQ(b->Randomize(v), twin_b->Randomize(v))
+          << RandomizerKindToString(kind) << " j=" << j;
+    }
+    EXPECT_EQ(a->name(), twin_a->name());
   }
 }
 

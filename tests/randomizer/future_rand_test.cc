@@ -9,21 +9,29 @@
 namespace futurerand::rand {
 namespace {
 
+Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, int64_t k,
+                                                   double eps, uint64_t seed) {
+  return MakeSequenceRandomizer(RandomizerKind::kFutureRand, length, k, eps,
+                                seed);
+}
+
 std::unique_ptr<FutureRandRandomizer> Make(int64_t length, int64_t k,
                                            double eps, uint64_t seed) {
-  return FutureRandRandomizer::Create(length, k, eps, seed).ValueOrDie();
+  return std::unique_ptr<FutureRandRandomizer>(
+      static_cast<FutureRandRandomizer*>(
+          Create(length, k, eps, seed).ValueOrDie().release()));
 }
 
 TEST(FutureRandTest, RejectsInvalidParameters) {
-  EXPECT_FALSE(FutureRandRandomizer::Create(0, 1, 1.0, 1).ok());
-  EXPECT_FALSE(FutureRandRandomizer::Create(8, 0, 1.0, 1).ok());
-  EXPECT_FALSE(FutureRandRandomizer::Create(8, 2, 0.0, 1).ok());
-  EXPECT_FALSE(FutureRandRandomizer::Create(8, 2, 1.2, 1).ok());
+  EXPECT_FALSE(Create(0, 1, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 0, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 2, 0.0, 1).ok());
+  EXPECT_FALSE(Create(8, 2, 1.2, 1).ok());
 }
 
 TEST(FutureRandTest, AllowsSupportLargerThanLength) {
   // A client at a high level has L < k; Section 5.4 covers this.
-  auto randomizer = FutureRandRandomizer::Create(2, 16, 1.0, 1);
+  auto randomizer = Create(2, 16, 1.0, 1);
   ASSERT_TRUE(randomizer.ok());
   EXPECT_EQ((*randomizer)->length(), 2);
   EXPECT_EQ((*randomizer)->max_support(), 16);

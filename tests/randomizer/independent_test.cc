@@ -8,16 +8,22 @@
 namespace futurerand::rand {
 namespace {
 
-std::unique_ptr<IndependentRandomizer> Make(int64_t length, int64_t k,
-                                            double eps, uint64_t seed) {
-  return IndependentRandomizer::Create(length, k, eps, seed).ValueOrDie();
+Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, int64_t k,
+                                                   double eps, uint64_t seed) {
+  return MakeSequenceRandomizer(RandomizerKind::kIndependent, length, k, eps,
+                                seed);
+}
+
+std::unique_ptr<SequenceRandomizer> Make(int64_t length, int64_t k,
+                                         double eps, uint64_t seed) {
+  return Create(length, k, eps, seed).ValueOrDie();
 }
 
 TEST(IndependentRandomizerTest, RejectsInvalidParameters) {
-  EXPECT_FALSE(IndependentRandomizer::Create(0, 1, 1.0, 1).ok());
-  EXPECT_FALSE(IndependentRandomizer::Create(8, 0, 1.0, 1).ok());
-  EXPECT_FALSE(IndependentRandomizer::Create(8, 2, 0.0, 1).ok());
-  EXPECT_FALSE(IndependentRandomizer::Create(8, 2, 1.01, 1).ok());
+  EXPECT_FALSE(Create(0, 1, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 0, 1.0, 1).ok());
+  EXPECT_FALSE(Create(8, 2, 0.0, 1).ok());
+  EXPECT_FALSE(Create(8, 2, 1.01, 1).ok());
 }
 
 TEST(IndependentRandomizerTest, CGapMatchesExample42) {

@@ -21,18 +21,26 @@ namespace {
 
 constexpr RandomizerKind kKind = RandomizerKind::kLGrr;
 
+Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, double eps,
+                                                   double alpha,
+                                                   uint64_t seed) {
+  // Longitudinal kinds ignore max_support; 1 is a placeholder.
+  return MakeSequenceRandomizer(kKind, length, 1, eps, seed, alpha);
+}
+
 std::unique_ptr<LongitudinalRandomizer> Make(int64_t length, double eps,
                                              double alpha, uint64_t seed) {
-  return LongitudinalRandomizer::Create(kKind, length, eps, alpha, seed)
-      .ValueOrDie();
+  return std::unique_ptr<LongitudinalRandomizer>(
+      static_cast<LongitudinalRandomizer*>(
+          Create(length, eps, alpha, seed).ValueOrDie().release()));
 }
 
 TEST(LGrrTest, RejectsInvalidParameters) {
-  EXPECT_FALSE(LongitudinalRandomizer::Create(kKind, 0, 1.0, 0.5, 1).ok());
-  EXPECT_FALSE(LongitudinalRandomizer::Create(kKind, 8, 0.0, 0.5, 1).ok());
-  EXPECT_FALSE(LongitudinalRandomizer::Create(kKind, 8, 1.5, 0.5, 1).ok());
-  EXPECT_FALSE(LongitudinalRandomizer::Create(kKind, 8, 1.0, 0.0, 1).ok());
-  EXPECT_FALSE(LongitudinalRandomizer::Create(kKind, 8, 1.0, 1.0, 1).ok());
+  EXPECT_FALSE(Create(0, 1.0, 0.5, 1).ok());
+  EXPECT_FALSE(Create(8, 0.0, 0.5, 1).ok());
+  EXPECT_FALSE(Create(8, 1.5, 0.5, 1).ok());
+  EXPECT_FALSE(Create(8, 1.0, 0.0, 1).ok());
+  EXPECT_FALSE(Create(8, 1.0, 1.0, 1).ok());
   EXPECT_FALSE(
       MakeLongitudinalSpec(RandomizerKind::kFutureRand, 1.0, 0.5).ok());
 }

@@ -22,10 +22,18 @@ namespace {
 
 constexpr RandomizerKind kKind = RandomizerKind::kLoloha;
 
+Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, double eps,
+                                                   double alpha,
+                                                   uint64_t seed) {
+  // Longitudinal kinds ignore max_support; 1 is a placeholder.
+  return MakeSequenceRandomizer(kKind, length, 1, eps, seed, alpha);
+}
+
 std::unique_ptr<LongitudinalRandomizer> Make(int64_t length, double eps,
                                              double alpha, uint64_t seed) {
-  return LongitudinalRandomizer::Create(kKind, length, eps, alpha, seed)
-      .ValueOrDie();
+  return std::unique_ptr<LongitudinalRandomizer>(
+      static_cast<LongitudinalRandomizer*>(
+          Create(length, eps, alpha, seed).ValueOrDie().release()));
 }
 
 TEST(LolohaTest, PermanentSeedDrawnAtCreationAndShared) {
