@@ -13,12 +13,11 @@
 //
 // bytes_per_report divides the encoded v2 batch bytes actually shipped by
 // the report count; client/server CPU are the tick+encode and decode+ingest
-// wall times on a single thread. The longitudinal protocols trade ~log d
-// fewer reports per user for an every-tick cadence — this bench is where
-// that trade is visible in one table.
+// wall times on a single thread, measured on sim::DriveFleet, the tick
+// loop RunProtocol and frload share. The longitudinal protocols trade
+// ~log d fewer reports per user for an every-tick cadence — this bench is
+// where that trade is visible in one table.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,7 +27,10 @@
 #include "futurerand/common/timer.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
+#include "futurerand/sim/metrics.h"
+#include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload_flags.h"
 
 namespace {
@@ -74,46 +76,40 @@ Result<Measured> RunOnce(sim::ProtocolKind protocol,
                         core::ClientFleet::Create(config, n, protocol_seed));
     FR_ASSIGN_OR_RETURN(core::ShardedAggregator aggregator,
                         core::ShardedAggregator::ForProtocol(config, 1));
-    {
-      WallTimer timer;
-      const std::string registrations = fleet.EncodeRegistrations();
-      total.bytes += static_cast<int64_t>(registrations.size());
-      total.client_seconds += timer.ElapsedSeconds();
-      timer.Restart();
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(registrations));
-      total.server_seconds += timer.ElapsedSeconds();
-    }
-    std::vector<int8_t> states(static_cast<size_t>(n));
-    for (int64_t t = 1; t <= config.num_periods; ++t) {
-      for (int64_t u = 0; u < n; ++u) {
-        states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
-      }
-      WallTimer timer;
-      FR_ASSIGN_OR_RETURN(const std::string encoded,
-                          fleet.AdvanceTickEncoded(states));
-      total.client_seconds += timer.ElapsedSeconds();
-      total.bytes += static_cast<int64_t>(encoded.size());
-      timer.Restart();
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(encoded));
-      total.server_seconds += timer.ElapsedSeconds();
-    }
-    total.reports += fleet.reports_emitted();
     WallTimer timer;
+    const std::string registrations = fleet.EncodeRegistrations();
+    total.bytes += static_cast<int64_t>(registrations.size());
+    total.client_seconds += timer.LapSeconds();
+    FR_RETURN_NOT_OK(aggregator.IngestEncoded(registrations));
+    total.server_seconds += timer.LapSeconds();
+    // sim::DriveFleet plays the workload over an ideal transport; the ship
+    // callable times encode (client side) and ingest (server side).
+    auto ship = [&](const core::ReportBatch& batch, int64_t /*index*/,
+                    sim::ChannelModel* /*channel*/) -> Status {
+      timer.Restart();
+      FR_ASSIGN_OR_RETURN(const std::string encoded,
+                          core::EncodeReportBatch(batch));
+      total.client_seconds += timer.LapSeconds();
+      total.bytes += static_cast<int64_t>(encoded.size());
+      FR_RETURN_NOT_OK(aggregator.IngestEncoded(encoded));
+      total.server_seconds += timer.LapSeconds();
+      return Status::OK();
+    };
+    sim::DeliveryMetrics delivery;
+    FR_ASSIGN_OR_RETURN(
+        const sim::DriveStats drive,
+        sim::DriveFleet(fleet, workload, sim::FaultOptions{}, protocol_seed,
+                        nullptr, ship, nullptr, nullptr, &delivery));
+    total.client_seconds += drive.tick_seconds;
+    total.reports += drive.reports;
+    timer.Restart();
     FR_ASSIGN_OR_RETURN(const std::vector<double> estimates,
                         aggregator.EstimateAll());
     total.server_seconds += timer.ElapsedSeconds();
-    double max_error = 0.0;
-    double abs_error_sum = 0.0;
-    const std::vector<int64_t>& truth = workload.ground_truth();
-    for (size_t t = 0; t < truth.size(); ++t) {
-      const double error =
-          std::abs(estimates[t] - static_cast<double>(truth[t]));
-      max_error = std::max(max_error, error);
-      abs_error_sum += error;
-    }
-    total.mean_max_error += max_error / reps;
-    total.mean_abs_error +=
-        abs_error_sum / static_cast<double>(truth.size()) / reps;
+    const sim::ErrorMetrics error =
+        sim::ComputeErrorMetrics(estimates, workload.ground_truth());
+    total.mean_max_error += error.max_abs / reps;
+    total.mean_abs_error += error.mean_abs / reps;
   }
   return total;
 }

@@ -12,22 +12,21 @@
 //   bench_throughput --n=100000 --d=1024 --k=8 --shards=8 --threads=8
 //   bench_throughput --n=400 --d=64 --k=2 --json
 //
-// With --corrupt-rate the ingest stage runs a detection-driven
-// retransmission loop (the receiver's kDataLoss verdict on the batch
-// checksum triggers the resend) and the retransmission count lands in the
-// JSON line next to corrupt_rate.
-//
-// The stage loop is deliberately its own, not sim::DriveFleet: it times
-// tick, encode and ingest separately, which the shared loop does not.
+// The stages stream through sim::DriveFleet, the same tick loop RunProtocol
+// and frload run: DriveFleet times AdvanceTick, and the ship callable times
+// encode and ingest apart. With --corrupt-rate the channel DriveFleet owns
+// flips bits in flight and ingest runs the detection-driven retransmission
+// loop (the receiver's kDataLoss verdict on the batch checksum triggers the
+// resend); the NACK and retransmission counts land in the JSON line next
+// to corrupt_rate.
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include <optional>
 
 #include "bench_common.h"
 #include "futurerand/common/flags.h"
@@ -47,29 +46,48 @@ using namespace futurerand;
 
 struct PipelineStats {
   double create_seconds = 0.0;
-  double tick_seconds = 0.0;    // AdvanceTick over all d periods
   double encode_seconds = 0.0;  // EncodeReportBatch over all batches
-  double ingest_seconds = 0.0;  // IngestEncoded over all batches
+  double ingest_seconds = 0.0;  // IngestEncoded (+ resends) over all batches
   double query_seconds = 0.0;   // EstimateAll
   double checkpoint_seconds = 0.0;  // Checkpoint + Restore round-trip
   double delta_seconds = 0.0;       // delta Checkpoint (--checkpoint-mode)
-  int64_t reports = 0;
   int64_t wire_bytes = 0;
-  int64_t checksum_rejected = 0;  // ingests NACKed with kDataLoss
-  int64_t retransmissions = 0;    // deliveries repeated after a NACK
   int64_t checkpoint_bytes = 0;  // one full blob
   int64_t delta_bytes = 0;       // one delta blob over dirty_shards shards
   int64_t dirty_shards = 0;      // shards dirtied before the delta (~1%)
   int64_t state_bytes = 0;       // ApproxMemoryBytes after the full stream
   double final_estimate = 0.0;  // consume the output so nothing is elided
+  sim::DriveStats drive;          // reports and AdvanceTick seconds
+  sim::DeliveryMetrics delivery;  // channel, NACK and retransmit counters
 };
 
+// Synthetic population: user u turns its flag on at period (u % d) + 1
+// and off again half a window later (two changes, within any k >= 2;
+// k = 1 users simply keep the flag on).
+Result<sim::Workload> SyntheticWorkload(int64_t n, int64_t d, int64_t k) {
+  std::vector<sim::UserTrace> traces(static_cast<size_t>(n));
+  for (int64_t u = 0; u < n; ++u) {
+    const int64_t on = (u % d) + 1;
+    const int64_t off = on + d / 2;
+    std::vector<int64_t>& changes =
+        traces[static_cast<size_t>(u)].change_times;
+    if (k < 2 || off > d) {
+      changes = {on};
+    } else if (off > on) {
+      changes = {on, off};
+    }  // else d == 1: on and off coincide, so the flag never shows
+  }
+  return sim::Workload::FromTraces(
+      bench::MakeWorkload(sim::WorkloadKind::kUniformChanges, n, d, k),
+      std::move(traces));
+}
+
 Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
-                                  int64_t n, int shards, ThreadPool* pool,
-                                  uint64_t seed, core::DedupPolicy dedup,
-                                  core::DedupWindowPolicy window,
-                                  core::CheckpointMode checkpoint_mode,
-                                  double corrupt_rate) {
+                                  const sim::Workload& workload, int shards,
+                                  ThreadPool* pool, uint64_t seed,
+                                  const sim::FaultOptions& faults,
+                                  core::CheckpointMode checkpoint_mode) {
+  const int64_t n = workload.num_users();
   PipelineStats stats;
   WallTimer timer;
   FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
@@ -78,59 +96,31 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
 
   FR_ASSIGN_OR_RETURN(
       core::ShardedAggregator aggregator,
-      core::ShardedAggregator::ForProtocol(config, shards, dedup, window));
+      core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
+                                           faults.dedup_window));
   const std::string registration_bytes = fleet.EncodeRegistrations();
   stats.wire_bytes += static_cast<int64_t>(registration_bytes.size());
   FR_RETURN_NOT_OK(aggregator.IngestEncoded(registration_bytes, pool));
 
-  // With --corrupt-rate the ingest stage ships every batch through the
-  // same corruption model and NACK retransmission loop the simulation
-  // runner uses — one copy of the delivery policy, so the bench can never
-  // drift from what RunProtocol actually does.
-  std::optional<sim::ChannelModel> channel;
-  sim::DeliveryMetrics delivery;
-  if (corrupt_rate > 0.0) {
-    sim::ChannelConfig channel_config;
-    channel_config.corrupt_rate = corrupt_rate;
-    channel.emplace(channel_config, seed * 0x9e3779b97f4a7c15ULL + 1);
-  }
-
-  // Synthetic population: user u turns its flag on at period (u % d) + 1
-  // and off again half a window later (two changes, within any k >= 2;
-  // k = 1 users simply keep the flag on).
-  const int64_t d = config.num_periods;
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  core::ReportBatch batch;
-  for (int64_t t = 1; t <= d; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      const int64_t on = (u % d) + 1;
-      const bool off_again = config.max_changes >= 2 && t >= on + d / 2;
-      states[static_cast<size_t>(u)] =
-          (t >= on && !off_again) ? int8_t{1} : int8_t{0};
-    }
-    timer.Restart();
-    FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
-    stats.tick_seconds += timer.ElapsedSeconds();
-
+  // Every batch ships through the delivery policy RunProtocol uses — one
+  // copy of it, so the bench can never drift from what the runner does.
+  auto ship = [&](const core::ReportBatch& batch, int64_t /*index*/,
+                  sim::ChannelModel* channel) -> Status {
     timer.Restart();
     FR_ASSIGN_OR_RETURN(const std::string bytes,
                         core::EncodeReportBatch(batch));
-    stats.encode_seconds += timer.ElapsedSeconds();
+    stats.encode_seconds += timer.LapSeconds();
     stats.wire_bytes += static_cast<int64_t>(bytes.size());
-    stats.reports += static_cast<int64_t>(batch.size());
-
-    timer.Restart();
-    if (channel.has_value()) {
-      FR_RETURN_NOT_OK(sim::DeliverEncodedWithRetransmission(
-          aggregator, bytes, &*channel, /*retransmit_budget=*/32, pool,
-          &delivery));
-    } else {
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(bytes, pool));
-    }
-    stats.ingest_seconds += timer.ElapsedSeconds();
-  }
-  stats.checksum_rejected = delivery.batches_checksum_rejected;
-  stats.retransmissions = delivery.batches_retransmitted;
+    FR_RETURN_NOT_OK(sim::DeliverEncodedWithRetransmission(
+        aggregator, bytes, channel, faults.retransmit_budget, pool,
+        &stats.delivery));
+    stats.ingest_seconds += timer.LapSeconds();
+    return Status::OK();
+  };
+  FR_ASSIGN_OR_RETURN(stats.drive,
+                      sim::DriveFleet(fleet, workload, faults, seed, pool,
+                                      ship, nullptr, nullptr,
+                                      &stats.delivery));
 
   timer.Restart();
   FR_ASSIGN_OR_RETURN(const std::vector<double> estimates,
@@ -246,11 +236,14 @@ int Run(int argc, char** argv) {
   parser.AddBool("json", &json,
                  "print one machine-readable JSON line instead of a table");
   parser.AddBool("help", &help, "print usage");
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+  // Bad input prints the status and the usage, and exits 2.
+  auto usage_error = [&](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("bench_throughput").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return usage_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("bench_throughput").c_str(), stdout);
@@ -258,63 +251,53 @@ int Run(int argc, char** argv) {
   }
 
   if (threads < 1 || shards < 0) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --threads must be >= 1 and --shards "
-                 ">= 0\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+    return usage_error(Status::InvalidArgument(
+        "--threads must be >= 1 and --shards >= 0"));
   }
   const auto randomizer = rand::ParseRandomizerKind(randomizer_name);
   if (!randomizer.ok()) {
     std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
     return 2;
   }
-  core::CheckpointMode mode = core::CheckpointMode::kFull;
-  if (checkpoint_mode == "delta") {
-    mode = core::CheckpointMode::kDelta;
-  } else if (checkpoint_mode != "full") {
-    std::fprintf(stderr,
-                 "InvalidArgument: --checkpoint-mode must be full or "
-                 "delta\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+  const auto mode = core::ParseCheckpointMode(checkpoint_mode);
+  if (!mode.ok()) {
+    return usage_error(mode.status());
   }
-  if (corrupt_rate < 0.0 || corrupt_rate > 1.0) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --corrupt-rate must be in [0,1]\n%s",
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+  sim::FaultOptions faults;
+  faults.channel.corrupt_rate = corrupt_rate;
+  faults.dedup =
+      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
+  faults.dedup_window = core::DedupWindowPolicy{dedup_window};
+  if (const Status valid = faults.Validate(); !valid.ok()) {
+    return usage_error(valid);
   }
 
   core::ProtocolConfig config = bench::MakeConfig(d, k, eps);
   config.randomizer = *randomizer;
   const auto store_kind = core::ParseStoreKind(store_name);
   if (!store_kind.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_kind.status().ToString().c_str(),
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+    return usage_error(store_kind.status());
   }
   if (*store_kind == core::StoreKind::kSketch) {
     config.store = core::StoreConfig::Sketch(
         static_cast<int32_t>(sketch_rows), sketch_width,
         static_cast<uint64_t>(sketch_seed));
   }
-  if (const Status store_status = config.store.Validate();
-      !store_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", store_status.ToString().c_str(),
-                 parser.Usage("bench_throughput").c_str());
-    return 2;
+  if (const Status valid = config.store.Validate(); !valid.ok()) {
+    return usage_error(valid);
   }
   ThreadPool pool(static_cast<int>(threads));
   const int effective_shards =
       shards > 0 ? static_cast<int>(shards) : pool.num_threads();
 
-  const auto stats = RunPipeline(config, n, effective_shards, &pool,
-                                 static_cast<uint64_t>(seed),
-                                 dedup ? core::DedupPolicy::kIdempotent
-                                       : core::DedupPolicy::kStrict,
-                                 core::DedupWindowPolicy{dedup_window},
-                                 mode, corrupt_rate);
+  const auto workload = SyntheticWorkload(n, d, k);
+  if (!workload.ok()) {
+    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
+    return 1;
+  }
+  const auto stats =
+      RunPipeline(config, *workload, effective_shards, &pool,
+                  static_cast<uint64_t>(seed), faults, *mode);
   if (!stats.ok()) {
     std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
     return 1;
@@ -329,15 +312,15 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
       return 2;
     }
-    const auto workload = sim::Workload::Generate(
+    const auto generated = sim::Workload::Generate(
         bench::MakeWorkload(sim::WorkloadKind::kUniformChanges, n, d, k),
         static_cast<uint64_t>(seed));
-    if (!workload.ok()) {
-      std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
+    if (!generated.ok()) {
+      std::fprintf(stderr, "%s\n", generated.status().ToString().c_str());
       return 1;
     }
     const auto run =
-        sim::RunProtocol(*protocol, config, *workload,
+        sim::RunProtocol(*protocol, config, *generated,
                          static_cast<uint64_t>(seed) + 1, &pool,
                          effective_shards);
     if (!run.ok()) {
@@ -348,6 +331,8 @@ int Run(int argc, char** argv) {
   }
 
   const int64_t user_periods = n * d;
+  const int64_t reports = stats->drive.reports;
+  const double tick_seconds = stats->drive.tick_seconds;
   // Per-shard cost of the aggregate cells alone (sans dedup bitmaps),
   // under both backends — the number the sketch exists to shrink.
   const int64_t store_bytes_per_shard =
@@ -372,34 +357,31 @@ int Run(int argc, char** argv) {
         .Add("dedup", dedup ? 1 : 0)
         .Add("dedup_window", dedup_window)
         .Add("corrupt_rate", corrupt_rate)
-        .Add("checksum_rejected", stats->checksum_rejected)
-        .Add("batches_retransmitted", stats->retransmissions)
+        .AddFields(stats->delivery, sim::DeliveryMetrics::TransportFields())
         .Add("shards", effective_shards)
         .Add("threads", static_cast<int64_t>(pool.num_threads()))
-        .Add("reports", stats->reports)
+        .Add("reports", reports)
         .Add("wire_bytes", stats->wire_bytes)
         .Add("fleet_create_sec", stats->create_seconds)
-        .Add("tick_sec", stats->tick_seconds)
+        .Add("tick_sec", tick_seconds)
         .Add("encode_sec", stats->encode_seconds)
         .Add("ingest_sec", stats->ingest_seconds)
         .Add("estimate_all_sec", stats->query_seconds)
         .Add("checkpoint_sec", stats->checkpoint_seconds)
         .Add("checkpoint_bytes", stats->checkpoint_bytes)
         .Add("state_bytes", stats->state_bytes)
-        .Add("user_periods_per_sec", Rate(user_periods, stats->tick_seconds))
-        .Add("reports_per_sec", Rate(stats->reports, stats->ingest_seconds))
+        .Add("user_periods_per_sec", Rate(user_periods, tick_seconds))
+        .Add("reports_per_sec", Rate(reports, stats->ingest_seconds))
         // Per-stage records/sec, one field per pipeline stage so the CI
         // regression gate (scripts/check_bench_regression.sh) can compare
         // each stage against the committed baseline independently. "Record"
         // is the stage's natural unit: user-periods for tick, reports for
         // encode/ingest, periods for query.
-        .Add("tick_records_per_sec", Rate(user_periods, stats->tick_seconds))
-        .Add("encode_records_per_sec",
-             Rate(stats->reports, stats->encode_seconds))
-        .Add("ingest_records_per_sec",
-             Rate(stats->reports, stats->ingest_seconds))
+        .Add("tick_records_per_sec", Rate(user_periods, tick_seconds))
+        .Add("encode_records_per_sec", Rate(reports, stats->encode_seconds))
+        .Add("ingest_records_per_sec", Rate(reports, stats->ingest_seconds))
         .Add("query_records_per_sec", Rate(d, stats->query_seconds));
-    if (mode == core::CheckpointMode::kDelta) {
+    if (*mode == core::CheckpointMode::kDelta) {
       line.Add("dirty_shards", stats->dirty_shards)
           .Add("delta_checkpoint_sec", stats->delta_seconds)
           .Add("delta_checkpoint_bytes", stats->delta_bytes)
@@ -426,70 +408,39 @@ int Run(int argc, char** argv) {
               pool.num_threads(), core::StoreKindToString(*store_kind),
               static_cast<long long>(store_bytes_per_shard));
   TablePrinter table({"stage", "seconds", "items", "items/sec"});
-  table.AddRow({"fleet create",
-                TablePrinter::FormatDouble(stats->create_seconds, 4),
-                TablePrinter::FormatCount(n),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(n, stats->create_seconds)))});
-  table.AddRow({"advance ticks",
-                TablePrinter::FormatDouble(stats->tick_seconds, 4),
-                TablePrinter::FormatCount(user_periods),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(user_periods, stats->tick_seconds)))});
-  table.AddRow({"encode wire",
-                TablePrinter::FormatDouble(stats->encode_seconds, 4),
-                TablePrinter::FormatCount(stats->wire_bytes),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->wire_bytes, stats->encode_seconds)))});
-  table.AddRow({"ingest encoded",
-                TablePrinter::FormatDouble(stats->ingest_seconds, 4),
-                TablePrinter::FormatCount(stats->reports),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->reports, stats->ingest_seconds)))});
+  auto add_row = [&](const std::string& stage, double seconds,
+                     int64_t items) {
+    table.AddRow({stage, TablePrinter::FormatDouble(seconds, 4),
+                  TablePrinter::FormatCount(items),
+                  TablePrinter::FormatCount(
+                      static_cast<int64_t>(Rate(items, seconds)))});
+  };
+  add_row("fleet create", stats->create_seconds, n);
+  add_row("advance ticks", tick_seconds, user_periods);
+  add_row("encode wire", stats->encode_seconds, stats->wire_bytes);
+  add_row("ingest encoded", stats->ingest_seconds, reports);
   if (corrupt_rate > 0.0) {
     // Retry cost is folded into the "ingest encoded" row above; this row
     // only counts the NACKed deliveries that were re-sent.
-    table.AddRow({"retransmissions",
-                  TablePrinter::FormatDouble(0.0, 4),
-                  TablePrinter::FormatCount(stats->retransmissions),
-                  TablePrinter::FormatCount(0)});
+    add_row("retransmissions", 0.0, stats->delivery.batches_retransmitted);
   }
-  table.AddRow({"estimate all",
-                TablePrinter::FormatDouble(stats->query_seconds, 4),
-                TablePrinter::FormatCount(d),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(d, stats->query_seconds)))});
-  table.AddRow({"checkpoint+restore",
-                TablePrinter::FormatDouble(stats->checkpoint_seconds, 4),
-                TablePrinter::FormatCount(stats->checkpoint_bytes),
-                TablePrinter::FormatCount(static_cast<int64_t>(
-                    Rate(stats->checkpoint_bytes,
-                         stats->checkpoint_seconds)))});
-  table.AddRow({"state memory",
-                TablePrinter::FormatDouble(0.0, 4),
-                TablePrinter::FormatCount(stats->state_bytes),
-                TablePrinter::FormatCount(0)});
-  if (mode == core::CheckpointMode::kDelta) {
-    table.AddRow({"delta checkpoint",
-                  TablePrinter::FormatDouble(stats->delta_seconds, 4),
-                  TablePrinter::FormatCount(stats->delta_bytes),
-                  TablePrinter::FormatCount(static_cast<int64_t>(
-                      Rate(stats->delta_bytes, stats->delta_seconds)))});
+  add_row("estimate all", stats->query_seconds, d);
+  add_row("checkpoint+restore", stats->checkpoint_seconds,
+          stats->checkpoint_bytes);
+  add_row("state memory", 0.0, stats->state_bytes);
+  if (*mode == core::CheckpointMode::kDelta) {
+    add_row("delta checkpoint", stats->delta_seconds, stats->delta_bytes);
   }
   if (!protocol_name.empty()) {
-    table.AddRow({"sim " + protocol_name,
-                  TablePrinter::FormatDouble(sim_seconds, 4),
-                  TablePrinter::FormatCount(user_periods),
-                  TablePrinter::FormatCount(static_cast<int64_t>(
-                      Rate(user_periods, sim_seconds)))});
+    add_row("sim " + protocol_name, sim_seconds, user_periods);
   }
   table.Print(std::cout);
   std::printf("%lld reports, %lld wire bytes (%.2f bytes/report)\n",
-              static_cast<long long>(stats->reports),
+              static_cast<long long>(reports),
               static_cast<long long>(stats->wire_bytes),
-              stats->reports > 0
+              reports > 0
                   ? static_cast<double>(stats->wire_bytes) /
-                        static_cast<double>(stats->reports)
+                        static_cast<double>(reports)
                   : 0.0);
   return 0;
 }

@@ -41,7 +41,8 @@ for _ in $(seq 1 100); do
 done
 grep -q "frserve ready" "$workdir/frserve.out"
 
-"$FRLOAD" --uds="$sock" --connections=3 --n=2000 --d=32 --k=2 --eps=1.0 \
+n=2000
+"$FRLOAD" --uds="$sock" --connections=3 --n="$n" --d=32 --k=2 --eps=1.0 \
   --seed=7 --workload-seed=3 \
   --corrupt-rate=0.05 --drop-rate=0.02 --dup-rate=0.01 --dedup \
   --retransmit-budget=16 \
@@ -55,4 +56,22 @@ cat "$workdir/frserve.out"
 # The bench JSON is the artifact CI uploads; verify must have passed.
 grep -q '"bench":"frserve"' "$workdir/frserve.out"
 grep -q '"verify":1' "$workdir/frload.out"
+
+# Cross-tool counter agreement: the server counts report records apart from
+# registrations, so its records_applied must equal the sender's, and its
+# registrations_applied must be exactly the --n clients that registered.
+json_field() {
+  { grep -o "\"$2\":[0-9-]*" "$1" || true; } | head -n 1 | cut -d: -f2
+}
+served="$(json_field "$workdir/frserve.out" records_applied)"
+sent="$(json_field "$workdir/frload.out" records_applied)"
+registered="$(json_field "$workdir/frserve.out" registrations_applied)"
+if [[ -z "$served" || "$served" != "$sent" ]]; then
+  echo "records_applied differ: frserve=$served frload=$sent" >&2
+  exit 1
+fi
+if [[ "$registered" != "$n" ]]; then
+  echo "frserve registrations_applied=$registered, expected --n=$n" >&2
+  exit 1
+fi
 echo "service smoke OK"

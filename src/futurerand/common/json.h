@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <string>
 
+#include "futurerand/common/fields.h"
+
 namespace futurerand {
 
 /// Builds one machine-readable JSON object line (the --json output of the
@@ -37,6 +39,16 @@ class JsonLine {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.6g", value);
     return Append(key, buffer);
+  }
+
+  /// Adds one key per entry of `table` (T::Fields() by default, see
+  /// common/fields.h): a counter struct's field names are its JSON keys.
+  template <typename T, typename Table = decltype(T::Fields())>
+  JsonLine& AddFields(const T& value, const Table& table = T::Fields()) {
+    ForEachField(
+        value, [&](const char* name, const auto& field) { Add(name, field); },
+        table);
+    return *this;
   }
 
   /// The assembled line, e.g. {"bench":"throughput","n":1000}.

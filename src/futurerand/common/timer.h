@@ -20,6 +20,15 @@ class WallTimer {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Elapsed seconds, restarting the timer at the same clock read, so
+  /// consecutive laps tile the timeline without gaps.
+  double LapSeconds() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

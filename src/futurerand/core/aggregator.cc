@@ -7,6 +7,25 @@
 
 namespace futurerand::core {
 
+const char* CheckpointModeToString(CheckpointMode mode) {
+  switch (mode) {
+    case CheckpointMode::kFull:
+      return "full";
+    case CheckpointMode::kDelta:
+      return "delta";
+  }
+  return "unknown";
+}
+
+Result<CheckpointMode> ParseCheckpointMode(const std::string& name) {
+  for (CheckpointMode mode : {CheckpointMode::kFull, CheckpointMode::kDelta}) {
+    if (name == CheckpointModeToString(mode)) {
+      return mode;
+    }
+  }
+  return Status::InvalidArgument("unknown checkpoint mode (want full|delta)");
+}
+
 ShardedAggregator::ShardedAggregator(int64_t num_periods,
                                      std::vector<double> level_scales,
                                      DedupPolicy dedup,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,6 +48,17 @@ struct IngestOutcome {
   int64_t out_of_window = 0;  // dropped behind an eviction watermark
 };
 
+/// Adds one ingest verdict's record counts — an IngestOutcome, or any type
+/// carrying the same applied/deduped/out_of_window fields (net::Reply) — to
+/// a counter set with records_applied/records_deduped/records_out_of_window
+/// (sim::DeliveryMetrics, net::ServerStats).
+template <typename Outcome, typename Counters>
+void AddIngestOutcome(const Outcome& outcome, Counters* counters) {
+  counters->records_applied += outcome.applied;
+  counters->records_deduped += outcome.deduped;
+  counters->records_out_of_window += outcome.out_of_window;
+}
+
 /// What a Checkpoint() call serializes.
 enum class CheckpointMode {
   /// Every shard, into one self-contained kAggregatorState blob. Starts a
@@ -60,6 +72,11 @@ enum class CheckpointMode {
   /// deltas would leave an unrecoverable seq gap).
   kDelta,
 };
+
+const char* CheckpointModeToString(CheckpointMode mode);
+
+/// Parses "full" / "delta" (the --checkpoint-mode flag spelling).
+Result<CheckpointMode> ParseCheckpointMode(const std::string& name);
 
 /// Thread-safe sharded aggregator. Move-only (but moving is NOT thread-safe:
 /// quiesce all other calls first). Safe for concurrent Ingest*, Estimate*,

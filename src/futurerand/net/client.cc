@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "futurerand/core/aggregator.h"
 #include "futurerand/sim/runner.h"
 
 namespace futurerand::net {
@@ -105,9 +106,7 @@ Status DeliverEncodedOverStream(StreamClient& client,
       // channel draw, so backpressure never perturbs the fault sequence.
       std::this_thread::sleep_for(kOverloadBackoff);
     }
-    delivery->records_applied += reply.applied;
-    delivery->records_deduped += reply.deduped;
-    delivery->records_out_of_window += reply.out_of_window;
+    core::AddIngestOutcome(reply, delivery);
     if (reply.verdict == Verdict::kAck) {
       return true;
     }

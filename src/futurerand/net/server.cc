@@ -252,6 +252,12 @@ void IngestServer::WorkerLoop(int index) {
     completion.reply.deduped = outcome.deduped;
     completion.reply.out_of_window = outcome.out_of_window;
     completion.acked_ingest = true;
+    // Registrations are counted apart from reports; a payload whose header
+    // does not parse applied nothing, so its kind does not matter.
+    const Result<core::WireBatchKind> kind =
+        core::PeekBatchKind(item.payload);
+    completion.registration =
+        kind.ok() && *kind == core::WireBatchKind::kRegistrationV2;
     if (ingested.ok()) {
       completion.reply.verdict = Verdict::kAck;
     } else {
@@ -616,9 +622,12 @@ void IngestServer::DrainCompletions() {
         case Verdict::kOverload:
           break;  // counted at enqueue time
       }
-      stats_.records_applied += completion.reply.applied;
-      stats_.records_deduped += completion.reply.deduped;
-      stats_.records_out_of_window += completion.reply.out_of_window;
+      if (completion.registration) {
+        stats_.registrations_applied += completion.reply.applied;
+        stats_.registrations_deduped += completion.reply.deduped;
+      } else {
+        core::AddIngestOutcome(completion.reply, &stats_);
+      }
     }
     if (completion.acked_ingest) {
       ++ingests_since_checkpoint_;

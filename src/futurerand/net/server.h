@@ -43,9 +43,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "futurerand/common/fields.h"
 #include "futurerand/common/result.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/config.h"
@@ -91,20 +93,38 @@ struct ServiceConfig {
   Status Validate() const;
 };
 
+/// ServerStats' counters as X(type, name) entries (common/fields.h).
+#define FR_SERVER_STATS_FIELDS(X)                                             \
+  X(int64_t, connections_accepted)                                            \
+  X(int64_t, frames_received)                                                 \
+  X(int64_t, batches_acked)                                                   \
+  X(int64_t, batches_nacked)        /* kDataLoss verdicts (checksum NACKs) */ \
+  X(int64_t, batches_overloaded)    /* rejected by a full worker queue */     \
+  X(int64_t, batches_errored)       /* non-retryable ingest failures */       \
+  X(int64_t, registrations_applied) /* registration records applied */        \
+  X(int64_t, registrations_deduped) /* re-registrations absorbed */           \
+  X(int64_t, records_applied)       /* report records only (and below) */     \
+  X(int64_t, records_deduped)                                                 \
+  X(int64_t, records_out_of_window)                                           \
+  X(int64_t, checkpoints_taken)                                               \
+  X(int64_t, delta_checkpoints_taken)                                         \
+  X(int64_t, checkpoint_bytes)
+
 /// Monotonic counters, readable from any thread while the server runs.
+/// Registration batches and report batches are counted apart (the worker
+/// classifies each payload with core::PeekBatchKind), so records_* match
+/// the sender's sim::DeliveryMetrics report counts.
 struct ServerStats {
-  int64_t connections_accepted = 0;
-  int64_t frames_received = 0;
-  int64_t batches_acked = 0;
-  int64_t batches_nacked = 0;      // kDataLoss verdicts (checksum NACKs)
-  int64_t batches_overloaded = 0;  // rejected by a full worker queue
-  int64_t batches_errored = 0;     // non-retryable ingest failures
-  int64_t records_applied = 0;
-  int64_t records_deduped = 0;
-  int64_t records_out_of_window = 0;
-  int64_t checkpoints_taken = 0;
-  int64_t delta_checkpoints_taken = 0;
-  int64_t checkpoint_bytes = 0;
+  using Self = ServerStats;
+  FR_SERVER_STATS_FIELDS(FR_FIELD_MEMBER)
+
+  /// The field table: ToString and JsonLine::AddFields iterate it.
+  static constexpr auto Fields() {
+    return std::tuple{FR_SERVER_STATS_FIELDS(FR_FIELD_ENTRY)};
+  }
+
+  /// "ServerStats{connections_accepted=... checkpoint_bytes=...}".
+  std::string ToString() const { return FieldsToString("ServerStats", *this); }
 };
 
 /// One server instance: Create -> Add*Listener -> Start -> (serve) ->
@@ -160,6 +180,7 @@ class IngestServer {
     uint64_t conn_id = 0;
     Reply reply;
     bool acked_ingest = false;  // counted toward the drain barrier
+    bool registration = false;  // a registration batch, not reports
   };
 
   // Mutex+condvar bounded FIFO; TryPush never blocks (overload is a

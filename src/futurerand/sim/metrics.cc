@@ -16,36 +16,7 @@ std::string ErrorMetrics::ToString() const {
 }
 
 std::string DeliveryMetrics::ToString() const {
-  // Worst case: ~260 chars of fixed text + twenty 20-digit int64 fields.
-  char buffer[704];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "DeliveryMetrics{sent=%lld dropped=%lld outage_dropped=%lld "
-      "dup=%lld delayed=%lld delivered=%lld applied=%lld deduped=%lld "
-      "stale=%lld reordered=%lld corrupted=%lld burst_batches=%lld "
-      "outages=%lld nack=%lld retx=%lld ckpt=%lld ckpt_bytes=%lld "
-      "delta_ckpt=%lld delta_bytes=%lld rereg=%lld}",
-      static_cast<long long>(records_sent),
-      static_cast<long long>(records_dropped),
-      static_cast<long long>(records_outage_dropped),
-      static_cast<long long>(records_duplicated),
-      static_cast<long long>(records_delayed),
-      static_cast<long long>(records_delivered),
-      static_cast<long long>(records_applied),
-      static_cast<long long>(records_deduped),
-      static_cast<long long>(records_out_of_window),
-      static_cast<long long>(batches_reordered),
-      static_cast<long long>(batches_corrupted),
-      static_cast<long long>(batches_in_burst),
-      static_cast<long long>(client_outages),
-      static_cast<long long>(batches_checksum_rejected),
-      static_cast<long long>(batches_retransmitted),
-      static_cast<long long>(checkpoints_taken),
-      static_cast<long long>(checkpoint_bytes),
-      static_cast<long long>(delta_checkpoints_taken),
-      static_cast<long long>(delta_checkpoint_bytes),
-      static_cast<long long>(registrations_replayed));
-  return buffer;
+  return FieldsToString("DeliveryMetrics", *this);
 }
 
 ErrorMetrics ComputeErrorMetrics(std::span<const double> estimates,

@@ -52,13 +52,6 @@ class FirstError {
   Status first_;
 };
 
-void AddOutcome(const core::IngestOutcome& outcome,
-                DeliveryMetrics* delivery) {
-  delivery->records_applied += outcome.applied;
-  delivery->records_deduped += outcome.deduped;
-  delivery->records_out_of_window += outcome.out_of_window;
-}
-
 // Runs Algorithms 1+2 with the sequence randomizer selected in `config`:
 // DriveFleet advances a ClientFleet one period per tick and the resulting
 // report batches stream into a ShardedAggregator — through a lossy
@@ -88,7 +81,7 @@ Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
     if (channel == nullptr) {
       core::IngestOutcome outcome;
       FR_RETURN_NOT_OK(aggregator.IngestReports(batch, pool, &outcome));
-      AddOutcome(outcome, &result.delivery);
+      core::AddIngestOutcome(outcome, &result.delivery);
       return Status::OK();
     }
     FR_ASSIGN_OR_RETURN(const std::string pristine,
@@ -154,9 +147,10 @@ Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
     return Status::OK();
   };
 
-  FR_ASSIGN_OR_RETURN(result.reports_submitted,
+  FR_ASSIGN_OR_RETURN(const DriveStats drive,
                       DriveFleet(fleet, workload, faults, seed, pool, ship,
                                  reregister, checkpoint, &result.delivery));
+  result.reports_submitted = drive.reports;
   if (config.consistent_estimation) {
     FR_ASSIGN_OR_RETURN(result.estimates,
                         aggregator.EstimateAllConsistent());
@@ -201,15 +195,8 @@ Result<RunResult> RunErlingsson(const core::ProtocolConfig& config,
       registrations.push_back(
           core::RegistrationMessage{u, client->level()});
       const UserTrace& trace = workload.trace(u);
-      size_t next_change = 0;
-      int8_t state = 0;
       for (int64_t t = 1; t <= config.num_periods; ++t) {
-        if (next_change < trace.change_times.size() &&
-            trace.change_times[next_change] == t) {
-          state = static_cast<int8_t>(1 - state);
-          ++next_change;
-        }
-        auto report = client->ObserveState(state);
+        auto report = client->ObserveState(trace.StateAt(t));
         if (!report.ok()) {
           first_error.Record(report.status());
           return;
@@ -267,15 +254,8 @@ Result<RunResult> RunNaiveRR(const core::ProtocolConfig& config,
         return;
       }
       const UserTrace& trace = workload.trace(u);
-      size_t next_change = 0;
-      int8_t state = 0;
       for (int64_t t = 1; t <= config.num_periods; ++t) {
-        if (next_change < trace.change_times.size() &&
-            trace.change_times[next_change] == t) {
-          state = static_cast<int8_t>(1 - state);
-          ++next_change;
-        }
-        auto report = client->ObserveState(state);
+        auto report = client->ObserveState(trace.StateAt(t));
         if (!report.ok()) {
           first_error.Record(report.status());
           return;
@@ -376,7 +356,7 @@ Status DeliverEncodedWithRetransmission(core::ShardedAggregator& aggregator,
     } else {
       ingested = aggregator.IngestEncoded(pristine, pool, &outcome);
     }
-    AddOutcome(outcome, delivery);
+    core::AddIngestOutcome(outcome, delivery);
     if (ingested.ok()) {
       return true;
     }
@@ -411,12 +391,13 @@ Status RetransmitLoop(int64_t retransmit_budget,
   }
 }
 
-Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
-                           const FaultOptions& faults, uint64_t seed,
-                           ThreadPool* pool, const ShipBatchFn& ship,
-                           const ReregisterFn& reregister,
-                           const TickHookFn& after_tick,
-                           DeliveryMetrics* delivery) {
+Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
+                              const Workload& workload,
+                              const FaultOptions& faults, uint64_t seed,
+                              ThreadPool* pool, const ShipBatchFn& ship,
+                              const ReregisterFn& reregister,
+                              const TickHookFn& after_tick,
+                              DeliveryMetrics* delivery) {
   const int64_t n = workload.num_users();
   const int64_t d = workload.config().num_periods;
   if (fleet.size() != n) {
@@ -435,6 +416,10 @@ Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
   std::vector<std::vector<core::RegistrationMessage>> joiners_by_tick;
   if (workload.has_presence() &&
       faults.dedup == core::DedupPolicy::kIdempotent) {
+    if (!reregister) {
+      return Status::InvalidArgument(
+          "a churn workload under kIdempotent needs a reregister callable");
+    }
     joiners_by_tick.resize(static_cast<size_t>(d) + 1);
     for (int64_t u = 0; u < n; ++u) {
       const int64_t join = workload.presence()[static_cast<size_t>(u)].join;
@@ -446,13 +431,16 @@ Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
   }
 
   // The workload stores per-user change times; play them as a sequence of
-  // state vectors, one tick at a time.
+  // state vectors, one tick at a time. Each stage's wall time is one lap
+  // of `timer`.
   std::vector<int8_t> states(static_cast<size_t>(n), 0);
   std::vector<size_t> next_change(static_cast<size_t>(n), 0);
   core::ReportBatch batch;
   core::ReportBatch delivered;
-  int64_t reports = 0;
+  DriveStats stats;
+  WallTimer timer;
   for (int64_t t = 1; t <= d; ++t) {
+    timer.Restart();
     auto update_states = [&](int64_t begin, int64_t end) {
       for (int64_t u = begin; u < end; ++u) {
         const auto i = static_cast<size_t>(u);
@@ -470,6 +458,7 @@ Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
     } else {
       update_states(0, n);
     }
+    stats.replay_seconds += timer.LapSeconds();
     if (!joiners_by_tick.empty() &&
         !joiners_by_tick[static_cast<size_t>(t)].empty()) {
       // This tick's joiners announce themselves before their first report.
@@ -477,48 +466,47 @@ Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
           joiners_by_tick[static_cast<size_t>(t)];
       FR_RETURN_NOT_OK(reregister(joiners));
       delivery->registrations_replayed += static_cast<int64_t>(joiners.size());
+      stats.reregister_seconds += timer.LapSeconds();
     }
     FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
-    reports += static_cast<int64_t>(batch.size());
+    stats.reports += static_cast<int64_t>(batch.size());
+    stats.tick_seconds += timer.LapSeconds();
     if (link != nullptr) {
       link->Transmit(batch, &delivered);
+      stats.channel_seconds += timer.LapSeconds();
       FR_RETURN_NOT_OK(ship(delivered, t - 1, link));
     } else {
       FR_RETURN_NOT_OK(ship(batch, t - 1, nullptr));
     }
+    stats.ship_seconds += timer.LapSeconds();
     if (after_tick) {
       FR_RETURN_NOT_OK(after_tick(t));
+      stats.after_tick_seconds += timer.LapSeconds();
     }
   }
 
   if (link == nullptr) {
-    delivery->records_sent = reports;
-    delivery->records_delivered = reports;
-    delivery->batches_sent = d;
-    return reports;
+    delivery->records_sent += stats.reports;
+    delivery->records_delivered += stats.reports;
+    delivery->batches_sent += d;
+    return stats;
   }
   if (faults.channel.delay_rate > 0.0) {
     // Records still lagging in the channel after the final tick: deliver
     // them now (late, out of order — kIdempotent absorbs the skew) so
     // latency never silently loses mass.
+    timer.Restart();
     link->FlushDelayed(&delivered);
+    stats.channel_seconds += timer.LapSeconds();
     if (!delivered.empty()) {
       FR_RETURN_NOT_OK(ship(delivered, d, link));
+      stats.ship_seconds += timer.LapSeconds();
     }
   }
-  const DeliveryMetrics& channel_stats = link->stats();
-  delivery->records_sent = channel_stats.records_sent;
-  delivery->records_dropped = channel_stats.records_dropped;
-  delivery->records_outage_dropped = channel_stats.records_outage_dropped;
-  delivery->records_duplicated = channel_stats.records_duplicated;
-  delivery->records_delayed = channel_stats.records_delayed;
-  delivery->records_delivered = channel_stats.records_delivered;
-  delivery->batches_sent = channel_stats.batches_sent;
-  delivery->batches_reordered = channel_stats.batches_reordered;
-  delivery->batches_corrupted = channel_stats.batches_corrupted;
-  delivery->batches_in_burst = channel_stats.batches_in_burst;
-  delivery->client_outages = channel_stats.client_outages;
-  return reports;
+  // The channel fills only its own counters; the ingest-side ones were
+  // accumulated by `ship`.
+  *delivery += link->stats();
+  return stats;
 }
 
 Status FaultOptions::Validate() const {

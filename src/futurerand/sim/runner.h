@@ -12,8 +12,10 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "futurerand/common/fields.h"
 #include "futurerand/common/result.h"
 #include "futurerand/common/stats.h"
 #include "futurerand/common/threadpool.h"
@@ -174,9 +176,33 @@ using ReregisterFn = std::function<Status(
 /// Runs after tick t's batch was shipped.
 using TickHookFn = std::function<Status(int64_t t)>;
 
+/// DriveStats' fields as X(type, name) entries (common/fields.h).
+#define FR_DRIVE_STATS_FIELDS(X)                                            \
+  X(int64_t, reports)                                                       \
+  X(double, replay_seconds)     /* change_times -> per-tick state vector */ \
+  X(double, tick_seconds)       /* ClientFleet::AdvanceTick */              \
+  X(double, channel_seconds)    /* ChannelModel Transmit + FlushDelayed */  \
+  X(double, ship_seconds)       /* the ship callable */                     \
+  X(double, reregister_seconds) /* the reregister callable */               \
+  X(double, after_tick_seconds) /* the after_tick hook */
+
+/// Where DriveFleet's wall time went, stage by stage, plus the reports the
+/// fleet emitted. The clocks only observe: call order, random draws and
+/// batch contents are the same whoever reads them.
+struct DriveStats {
+  using Self = DriveStats;
+  FR_DRIVE_STATS_FIELDS(FR_FIELD_MEMBER)
+
+  /// The field table, iterated by JsonLine::AddFields.
+  static constexpr auto Fields() {
+    return std::tuple{FR_DRIVE_STATS_FIELDS(FR_FIELD_ENTRY)};
+  }
+};
+
 /// The one copy of the online tick loop (Algorithms 1+2, one period per
 /// tick), shared by the in-process runner and the frload service client so
-/// the two stay bit-identical by construction. For t = 1..d it
+/// the two stay bit-identical by construction, and by the throughput and
+/// shootout benches so they measure that same loop. For t = 1..d it
 ///   1. replays each user's change_times into the state vector;
 ///   2. on churn workloads under kIdempotent, hands the registrations of
 ///      the users joining at t to `reregister` (counted in
@@ -188,16 +214,19 @@ using TickHookFn = std::function<Status(int64_t t)>;
 ///      and `ship`s what it delivered;
 ///   4. calls `after_tick(t)` unless it is empty.
 /// After tick d the records the channel still delays are flushed and
-/// shipped, and the channel counters are copied into `delivery`; with no
+/// shipped, and the channel counters are added to `delivery`; with no
 /// channel, records sent = delivered = reports and batches_sent = d.
 /// `fleet` must be freshly created for `workload` with its registrations
-/// already delivered. Returns the number of reports the fleet emitted.
-Result<int64_t> DriveFleet(core::ClientFleet& fleet, const Workload& workload,
-                           const FaultOptions& faults, uint64_t seed,
-                           ThreadPool* pool, const ShipBatchFn& ship,
-                           const ReregisterFn& reregister,
-                           const TickHookFn& after_tick,
-                           DeliveryMetrics* delivery);
+/// already delivered; `reregister` may be empty unless the workload churns
+/// under kIdempotent. Returns the reports emitted and the wall seconds
+/// spent in each stage.
+Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
+                              const Workload& workload,
+                              const FaultOptions& faults, uint64_t seed,
+                              ThreadPool* pool, const ShipBatchFn& ship,
+                              const ReregisterFn& reregister,
+                              const TickHookFn& after_tick,
+                              DeliveryMetrics* delivery);
 
 /// The outcome of one protocol run on one workload.
 struct RunResult {

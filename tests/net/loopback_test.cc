@@ -28,6 +28,7 @@
 #include "futurerand/sim/metrics.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
+#include "testsupport/field_table.h"
 
 namespace futurerand::net {
 namespace {
@@ -110,6 +111,10 @@ class LoopbackTest : public ::testing::TestWithParam<TransportParam> {
   std::string uds_;
 };
 
+TEST(ServerStatsTest, EveryFieldIsPrintedWithItsValue) {
+  testsupport::ExpectEveryFieldPrinted<ServerStats>();
+}
+
 TEST_P(LoopbackTest, StreamIngestIsBitIdenticalToInProcess) {
   ServiceConfig config;
   config.protocol = Protocol();
@@ -155,7 +160,9 @@ TEST_P(LoopbackTest, StreamIngestIsBitIdenticalToInProcess) {
   EXPECT_EQ(stats.frames_received, 18);  // 1 reg + 16 batches + 1 control
   EXPECT_EQ(stats.batches_acked, 17);
   EXPECT_EQ(stats.batches_nacked, 0);
-  EXPECT_EQ(stats.records_applied, n * 17);
+  // Registrations are counted apart from report records.
+  EXPECT_EQ(stats.registrations_applied, n);
+  EXPECT_EQ(stats.records_applied, n * 16);
 }
 
 TEST_P(LoopbackTest, LargeBatchSurvivesShortReadsAndPartialWrites) {
@@ -450,9 +457,9 @@ TEST(LoopbackDriveFleetTest, ChurnOverStreamMatchesRunProtocol) {
                ? Status::OK()
                : Status::Internal("re-registration rejected");
   };
-  const auto reports = sim::DriveFleet(fleet, workload, faults, seed, nullptr,
-                                       ship, reregister, nullptr, &delivery);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  const auto drive = sim::DriveFleet(fleet, workload, faults, seed, nullptr,
+                                     ship, reregister, nullptr, &delivery);
+  ASSERT_TRUE(drive.ok()) << drive.status().ToString();
   ASSERT_TRUE(clients[0].SendControl(ControlOp::kShutdown).ok());
   ASSERT_TRUE(server->Join().ok());
 
@@ -468,7 +475,22 @@ TEST(LoopbackDriveFleetTest, ChurnOverStreamMatchesRunProtocol) {
   EXPECT_EQ(delivery, local.delivery)
       << "stream:     " << delivery.ToString()
       << "\nin-process: " << local.delivery.ToString();
-  EXPECT_EQ(*reports, local.reports_submitted);
+  EXPECT_EQ(drive->reports, local.reports_submitted);
+
+  // Conservation: every record the channel delivered was applied, absorbed
+  // or dropped behind the window — and the server saw exactly what the
+  // sender's replies reported, with registrations counted apart.
+  EXPECT_EQ(delivery.records_delivered,
+            delivery.records_sent - delivery.records_dropped +
+                delivery.records_duplicated);
+  EXPECT_EQ(delivery.records_delivered,
+            delivery.records_applied + delivery.records_deduped +
+                delivery.records_out_of_window);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.records_applied, delivery.records_applied);
+  EXPECT_EQ(stats.records_deduped, delivery.records_deduped);
+  EXPECT_EQ(stats.registrations_applied + stats.registrations_deduped,
+            workload.num_users() + delivery.registrations_replayed);
 
   // The paths this test exists for really ran over the socket.
   EXPECT_GT(delivery.registrations_replayed, 0);

@@ -359,26 +359,114 @@ TEST(RunnerFaultTest, LosslessFaultsAreBitIdenticalToIdealTransport) {
   EXPECT_GT(lossy.delivery.checkpoint_bytes, 0);
 }
 
-TEST(RunnerFaultTest, DeliveryAccountingBalances) {
-  const Workload workload =
-      Workload::Generate(RunnerWorkload(), 3).ValueOrDie();
+// One fault flavor of the accounting check below: the options, whether the
+// workload churns, and a counter that must come out positive so the flavor
+// is known to have fired.
+struct AccountingFlavor {
+  const char* name;
   FaultOptions faults;
-  faults.channel.drop_rate = 0.2;
-  faults.channel.duplicate_rate = 0.2;
-  faults.dedup = core::DedupPolicy::kIdempotent;
-  const RunResult run =
-      RunProtocol(ProtocolKind::kFutureRand, RunnerConfig(), workload, 5,
-                  nullptr, 0, faults)
-          .ValueOrDie();
-  const DeliveryMetrics& delivery = run.delivery;
-  EXPECT_EQ(delivery.records_sent, run.reports_submitted);
-  EXPECT_GT(delivery.records_dropped, 0);
-  EXPECT_EQ(delivery.records_delivered,
-            delivery.records_sent - delivery.records_dropped +
-                delivery.records_duplicated);
-  EXPECT_EQ(delivery.records_applied + delivery.records_deduped,
-            delivery.records_delivered);
-  EXPECT_EQ(delivery.records_deduped, delivery.records_duplicated);
+  bool churn = false;
+  int64_t DeliveryMetrics::*witness;
+};
+
+std::vector<AccountingFlavor> AccountingFlavors() {
+  std::vector<AccountingFlavor> flavors;
+  auto add = [&](const char* name, int64_t DeliveryMetrics::*witness,
+                 auto configure, bool churn = false) {
+    AccountingFlavor flavor{name, FaultOptions{}, churn, witness};
+    configure(flavor.faults);
+    flavors.push_back(flavor);
+  };
+  const auto idempotent = core::DedupPolicy::kIdempotent;
+  add("drop+duplicate", &DeliveryMetrics::records_dropped,
+      [&](FaultOptions& f) {
+        f.channel.drop_rate = 0.2;
+        f.channel.duplicate_rate = 0.2;
+        f.dedup = idempotent;
+      });
+  add("drop", &DeliveryMetrics::records_dropped,
+      [](FaultOptions& f) { f.channel.drop_rate = 0.2; });
+  add("duplicate", &DeliveryMetrics::records_duplicated,
+      [&](FaultOptions& f) {
+        f.channel.duplicate_rate = 0.3;
+        f.dedup = idempotent;
+      });
+  add("reorder", &DeliveryMetrics::batches_reordered,
+      [](FaultOptions& f) { f.channel.reorder_rate = 0.5; });
+  add("corrupt", &DeliveryMetrics::batches_checksum_rejected,
+      [](FaultOptions& f) { f.channel.corrupt_rate = 0.3; });
+  add("burst", &DeliveryMetrics::batches_in_burst, [](FaultOptions& f) {
+    f.channel.burst_enter_rate = 0.2;
+    f.channel.burst_exit_rate = 0.4;
+    f.channel.burst_drop_rate = 0.5;
+    f.channel.burst_corrupt_rate = 0.5;
+  });
+  add("outage", &DeliveryMetrics::client_outages, [](FaultOptions& f) {
+    f.channel.outage_enter_rate = 0.1;
+    f.channel.outage_exit_rate = 0.3;
+  });
+  add("delay", &DeliveryMetrics::records_delayed, [&](FaultOptions& f) {
+    f.channel.delay_rate = 0.5;
+    f.channel.delay_ticks_max = 5;
+    f.dedup = idempotent;
+  });
+  add("full checkpoints", &DeliveryMetrics::checkpoints_taken,
+      [](FaultOptions& f) {
+        f.channel.drop_rate = 0.1;
+        f.checkpoint_every = 16;
+      });
+  add("delta checkpoints", &DeliveryMetrics::delta_checkpoints_taken,
+      [&](FaultOptions& f) {
+        f.channel.corrupt_rate = 0.2;
+        f.dedup = idempotent;
+        f.dedup_window = core::DedupWindowPolicy{32};
+        f.checkpoint_every = 8;
+        f.checkpoint_mode = core::CheckpointMode::kDelta;
+        f.checkpoint_compact_every = 3;
+      });
+  add(
+      "churn", &DeliveryMetrics::registrations_replayed,
+      [&](FaultOptions& f) {
+        f.channel.drop_rate = 0.1;
+        f.channel.duplicate_rate = 0.1;
+        f.dedup = idempotent;
+      },
+      /*churn=*/true);
+  return flavors;
+}
+
+TEST(RunnerFaultTest, DeliveryAccountingBalances) {
+  for (const AccountingFlavor& flavor : AccountingFlavors()) {
+    SCOPED_TRACE(flavor.name);
+    WorkloadConfig workload_config = RunnerWorkload();
+    if (flavor.churn) {
+      workload_config.kind = WorkloadKind::kChurn;
+      workload_config.churn_join_fraction = 0.5;
+    }
+    const Workload workload =
+        Workload::Generate(workload_config, 3).ValueOrDie();
+    const RunResult run =
+        RunProtocol(ProtocolKind::kFutureRand, RunnerConfig(), workload, 5,
+                    nullptr, 0, flavor.faults)
+            .ValueOrDie();
+    const DeliveryMetrics& delivery = run.delivery;
+    EXPECT_GT(delivery.*flavor.witness, 0) << delivery.ToString();
+    EXPECT_EQ(delivery.records_sent, run.reports_submitted);
+    EXPECT_EQ(delivery.records_delivered,
+              delivery.records_sent - delivery.records_dropped +
+                  delivery.records_duplicated);
+    EXPECT_EQ(delivery.records_delivered,
+              delivery.records_applied + delivery.records_deduped +
+                  delivery.records_out_of_window);
+    EXPECT_LE(delivery.records_outage_dropped, delivery.records_dropped);
+    // The run completed, so every NACK was answered by one resend.
+    EXPECT_EQ(delivery.batches_retransmitted,
+              delivery.batches_checksum_rejected);
+    EXPECT_LE(delivery.delta_checkpoints_taken, delivery.checkpoints_taken);
+    // The channel duplicates only records it delivers, so dedup absorbs
+    // exactly the duplicates.
+    EXPECT_EQ(delivery.records_deduped, delivery.records_duplicated);
+  }
 }
 
 TEST(RunnerFaultTest, DropsBiasTheEstimatesDown) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testsupport/field_table.h"
+
 namespace futurerand::sim {
 namespace {
 
@@ -51,6 +53,23 @@ TEST(MetricsTest, ToStringIncludesFields) {
   const std::string text = ComputeErrorMetrics(estimates, truth).ToString();
   EXPECT_NE(text.find("max=1"), std::string::npos);
   EXPECT_NE(text.find("t=1"), std::string::npos);
+}
+
+TEST(DeliveryMetricsTest, EveryFieldIsPrintedWithItsValue) {
+  testsupport::ExpectEveryFieldPrinted<DeliveryMetrics>();
+}
+
+TEST(DeliveryMetricsTest, PlusEqualsAddsEveryField) {
+  DeliveryMetrics once;
+  int64_t next = 1;
+  ForEachField(once, [&](const char*, int64_t& field) { field = next++; });
+  DeliveryMetrics thrice = once;
+  thrice += once;
+  thrice += once;
+  next = 1;
+  ForEachField(thrice, [&](const char* name, int64_t field) {
+    EXPECT_EQ(field, 3 * next++) << name;
+  });
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include "futurerand/net/client.h"
 #include "futurerand/net/server.h"
 #include "futurerand/sim/channel.h"
+#include "futurerand/sim/fault_flags.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
 #include "futurerand/sim/workload_flags.h"
@@ -65,21 +66,7 @@ int Run(int argc, char** argv) {
   int64_t seed = 2;
   int64_t workload_seed = 1;
   int64_t threads = ThreadPool::DefaultThreadCount();
-  double drop_rate = 0.0;
-  double dup_rate = 0.0;
-  double reorder_rate = 0.0;
-  double corrupt_rate = 0.0;
-  double burst_enter_rate = 0.0;
-  double burst_exit_rate = 0.0;
-  double burst_drop_rate = 0.0;
-  double burst_corrupt_rate = 0.0;
-  double outage_rate = 0.0;
-  double outage_recovery_rate = 0.0;
-  double delay_rate = 0.0;
-  int64_t delay_max_ticks = 0;
-  int64_t retransmit_budget = 32;
-  bool dedup = false;
-  int64_t dedup_window = 0;
+  sim::FaultFlags fault_flags;
   std::string checkpoint;
   bool do_shutdown = true;
   bool verify = false;
@@ -106,39 +93,7 @@ int Run(int argc, char** argv) {
   parser.AddInt64("workload-seed", &workload_seed, "workload seed");
   parser.AddInt64("threads", &threads,
                   "local worker threads (fleet advance + verify run)");
-  parser.AddDouble("drop-rate", &drop_rate, "P(report lost in the channel)");
-  parser.AddDouble("dup-rate", &dup_rate,
-                   "P(report delivered twice); requires --dedup (and a "
-                   "--dedup server)");
-  parser.AddDouble("reorder-rate", &reorder_rate,
-                   "P(delivered batch arrives shuffled)");
-  parser.AddDouble("corrupt-rate", &corrupt_rate,
-                   "P(one bit of the encoded batch flips in flight); the "
-                   "server NACKs and frload retransmits");
-  parser.AddDouble("burst-enter-rate", &burst_enter_rate,
-                   "Gilbert-Elliott P(good->bad) per channel traversal");
-  parser.AddDouble("burst-exit-rate", &burst_exit_rate,
-                   "Gilbert-Elliott P(bad->good)");
-  parser.AddDouble("burst-drop-rate", &burst_drop_rate,
-                   "drop rate while the channel is in the bad state");
-  parser.AddDouble("burst-corrupt-rate", &burst_corrupt_rate,
-                   "corrupt rate while in the bad state");
-  parser.AddDouble("outage-rate", &outage_rate,
-                   "P(a client goes dark), evaluated per report");
-  parser.AddDouble("outage-recovery-rate", &outage_recovery_rate,
-                   "P(a dark client recovers), evaluated per report");
-  parser.AddDouble("delay-rate", &delay_rate,
-                   "P(a delivered report is delayed into a later tick)");
-  parser.AddInt64("delay-max-ticks", &delay_max_ticks,
-                  "uniform delay bound in ticks");
-  parser.AddInt64("retransmit-budget", &retransmit_budget,
-                  "max TOTAL transmissions per batch (N = initial + up to "
-                  "N-1 resends), same contract as the simulator");
-  parser.AddBool("dedup", &dedup,
-                 "fault mix requires idempotent ingest; the server must be "
-                 "started with --dedup too");
-  parser.AddInt64("dedup-window", &dedup_window,
-                  "bounded dedup memory (must match the server)");
+  fault_flags.Register(&parser);
   parser.AddString("checkpoint", &checkpoint,
                    "the server's checkpoint file; --verify restores it "
                    "after shutdown and compares estimates");
@@ -154,49 +109,43 @@ int Run(int argc, char** argv) {
                  "print one {\"bench\":\"frload\",...} line");
   parser.AddBool("help", &help, "print usage");
 
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+  // Bad input prints the status and the usage, and exits 2.
+  auto usage_error = [&](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("frload").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return usage_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("frload").c_str(), stdout);
     return 0;
   }
   if (uds.empty() && port < 0) {
-    std::fprintf(stderr, "InvalidArgument: need --uds or --port\n%s",
-                 parser.Usage("frload").c_str());
-    return 2;
+    return usage_error(Status::InvalidArgument("need --uds or --port"));
   }
   if (connections < 1 || threads < 1) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --connections and --threads must be "
-                 ">= 1\n");
-    return 2;
+    return usage_error(Status::InvalidArgument(
+        "--connections and --threads must be >= 1"));
   }
   if (verify && checkpoint.empty()) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --verify needs --checkpoint (the "
-                 "server's checkpoint file)\n");
-    return 2;
+    return usage_error(Status::InvalidArgument(
+        "--verify needs --checkpoint (the server's checkpoint file)"));
   }
   if (verify && !do_shutdown) {
-    std::fprintf(stderr,
-                 "InvalidArgument: --verify needs --shutdown (only the "
-                 "shutdown checkpoint is quiesced)\n");
-    return 2;
+    return usage_error(Status::InvalidArgument(
+        "--verify needs --shutdown (only the shutdown checkpoint is "
+        "quiesced)"));
   }
 
   const auto protocol = sim::ParseProtocolKind(protocol_name);
   if (!protocol.ok()) {
-    std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-    return 2;
+    return usage_error(protocol.status());
   }
   const auto randomizer = sim::RandomizerFor(*protocol);
   if (!randomizer.ok()) {
-    std::fprintf(stderr, "%s\n", randomizer.status().ToString().c_str());
-    return 2;
+    return usage_error(randomizer.status());
   }
 
   core::ProtocolConfig config;
@@ -207,46 +156,23 @@ int Run(int argc, char** argv) {
 
   // The same FaultOptions the in-process verify run gets; validated here
   // so a bad fault mix fails before any socket traffic.
-  sim::FaultOptions faults;
-  faults.channel.drop_rate = drop_rate;
-  faults.channel.duplicate_rate = dup_rate;
-  faults.channel.reorder_rate = reorder_rate;
-  faults.channel.corrupt_rate = corrupt_rate;
-  faults.channel.burst_enter_rate = burst_enter_rate;
-  faults.channel.burst_exit_rate = burst_exit_rate;
-  faults.channel.burst_drop_rate = burst_drop_rate;
-  faults.channel.burst_corrupt_rate = burst_corrupt_rate;
-  faults.channel.outage_enter_rate = outage_rate;
-  faults.channel.outage_exit_rate = outage_recovery_rate;
-  faults.channel.delay_rate = delay_rate;
-  faults.channel.delay_ticks_max = delay_max_ticks;
-  faults.retransmit_budget = retransmit_budget;
-  faults.dedup =
-      dedup ? core::DedupPolicy::kIdempotent : core::DedupPolicy::kStrict;
-  faults.dedup_window = core::DedupWindowPolicy{dedup_window};
-  FRLOAD_REQUIRE_OK(faults.Validate());
+  const auto resolved_faults = fault_flags.ToOptions();
+  FRLOAD_REQUIRE_OK(resolved_faults.status());
+  const sim::FaultOptions& faults = *resolved_faults;
   FRLOAD_REQUIRE_OK(config.Validate());
 
   const auto workload_config = workload_flags.ToConfig(n, d, k);
   if (!workload_config.ok()) {
-    std::fprintf(stderr, "%s\n%s", workload_config.status().ToString().c_str(),
-                 parser.Usage("frload").c_str());
-    return 2;
+    return usage_error(workload_config.status());
   }
   const auto workload = sim::Workload::Generate(
       *workload_config, static_cast<uint64_t>(workload_seed));
-  if (!workload.ok()) {
-    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-    return 1;
-  }
+  FRLOAD_REQUIRE_OK(workload.status());
 
   ThreadPool pool(static_cast<int>(threads));
   const auto protocol_seed = static_cast<uint64_t>(seed);
   auto fleet = core::ClientFleet::Create(config, n, protocol_seed, &pool);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
-    return 1;
-  }
+  FRLOAD_REQUIRE_OK(fleet.status());
 
   // Connect the socket pool.
   std::vector<net::StreamClient> clients;
@@ -255,36 +181,32 @@ int Run(int argc, char** argv) {
                       ? net::StreamClient::ConnectTcp(
                             host, static_cast<int>(port))
                       : net::StreamClient::ConnectUnix(uds);
-    if (!client.ok()) {
-      std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(client.status());
     clients.push_back(std::move(*client));
   }
 
   const auto start = std::chrono::steady_clock::now();
 
-  // Registrations ship pristine (the simulator's channel also only faults
-  // report batches) and their outcome is not counted, matching the runner.
-  {
-    const auto reply =
-        clients[0].Call(core::EncodeRegistrationBatch(fleet->registrations()));
-    if (!reply.ok()) {
-      std::fprintf(stderr, "%s\n", reply.status().ToString().c_str());
-      return 1;
+  // Registrations ship pristine over the first connection (the simulator's
+  // channel also only faults report batches) and their outcome is not
+  // counted, matching the runner. Churn joiners re-register the same way.
+  auto send_registrations =
+      [&](const std::vector<core::RegistrationMessage>& batch) -> Status {
+    FR_ASSIGN_OR_RETURN(const net::Reply reply,
+                        clients[0].Call(core::EncodeRegistrationBatch(batch)));
+    if (reply.verdict == net::Verdict::kAck) {
+      return Status::OK();
     }
-    if (reply->verdict != net::Verdict::kAck) {
-      std::fprintf(stderr,
-                   "registration rejected by server (%s) — do the "
-                   "protocol flags match frserve's?\n",
-                   StatusCodeToString(reply->status));
-      return 1;
-    }
-  }
+    std::string message = "registration rejected by server (";
+    message += StatusCodeToString(reply.status);
+    message += ") — do the protocol flags and --dedup match frserve's?";
+    return Status::FailedPrecondition(std::move(message));
+  };
+  FRLOAD_REQUIRE_OK(send_registrations(fleet->registrations()));
 
   // sim::DriveFleet runs the same tick loop as the in-process runner; only
-  // the two shipping callables differ. Batches round-robin over the
-  // connections and churn joiners re-register over the first one.
+  // the shipping callables differ. Batches round-robin over the
+  // connections.
   sim::DeliveryMetrics delivery;
   auto ship = [&](const core::ReportBatch& batch, int64_t index,
                   sim::ChannelModel* channel) -> Status {
@@ -294,23 +216,10 @@ int Run(int argc, char** argv) {
         clients[static_cast<size_t>(index % connections)], pristine, channel,
         core::WireVersion::kV2, faults.retransmit_budget, &delivery);
   };
-  auto reregister =
-      [&](const std::vector<core::RegistrationMessage>& joiners) -> Status {
-    FR_ASSIGN_OR_RETURN(
-        const net::Reply reply,
-        clients[0].Call(core::EncodeRegistrationBatch(joiners)));
-    if (reply.verdict != net::Verdict::kAck) {
-      std::string message = "re-registration rejected by server (";
-      message += StatusCodeToString(reply.status);
-      message += ") — is frserve running with --dedup?";
-      return Status::FailedPrecondition(std::move(message));
-    }
-    return Status::OK();
-  };
-  const auto reports =
+  const auto drive =
       sim::DriveFleet(*fleet, *workload, faults, protocol_seed, &pool, ship,
-                      reregister, nullptr, &delivery);
-  FRLOAD_REQUIRE_OK(reports.status());
+                      send_registrations, nullptr, &delivery);
+  FRLOAD_REQUIRE_OK(drive.status());
 
   if (do_shutdown) {
     // The ack arrives after the drain and the final quiesced full
@@ -327,25 +236,15 @@ int Run(int argc, char** argv) {
     const auto local = sim::RunProtocol(*protocol, config, *workload,
                                         protocol_seed, &pool,
                                         /*num_shards=*/0, faults);
-    if (!local.ok()) {
-      std::fprintf(stderr, "%s\n", local.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(local.status());
     auto restored = core::ShardedAggregator::ForProtocol(
         config, /*num_shards=*/1, faults.dedup, faults.dedup_window);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(restored.status());
     FRLOAD_REQUIRE_OK(net::RestoreFromCheckpointFile(checkpoint, &*restored));
     const auto remote_estimates = config.consistent_estimation
                                       ? restored->EstimateAllConsistent()
                                       : restored->EstimateAll();
-    if (!remote_estimates.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   remote_estimates.status().ToString().c_str());
-      return 1;
-    }
+    FRLOAD_REQUIRE_OK(remote_estimates.status());
     if (remote_estimates->size() != local->estimates.size()) {
       std::fprintf(stderr, "verify mismatch: estimate lengths differ\n");
       all_ok = false;
@@ -382,17 +281,11 @@ int Run(int argc, char** argv) {
         .Add("k", k)
         .Add("eps", eps)
         .Add("connections", connections)
-        .Add("records_sent", delivery.records_sent)
-        .Add("records_delivered", delivery.records_delivered)
-        .Add("records_applied", delivery.records_applied)
-        .Add("records_deduped", delivery.records_deduped)
-        .Add("batches_sent", delivery.batches_sent)
-        .Add("batches_corrupted", delivery.batches_corrupted)
-        .Add("batches_checksum_rejected", delivery.batches_checksum_rejected)
-        .Add("batches_retransmitted", delivery.batches_retransmitted)
+        .AddFields(delivery)
+        .AddFields(*drive)
         .Add("wall_seconds", wall)
         .Add("records_per_sec",
-             wall > 0.0 ? static_cast<double>(*reports) / wall : 0.0)
+             wall > 0.0 ? static_cast<double>(drive->reports) / wall : 0.0)
         .Add("verify", static_cast<int64_t>(verify_result));
     std::printf("%s\n", line.Str().c_str());
   } else {

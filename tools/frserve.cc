@@ -100,20 +100,21 @@ int Run(int argc, char** argv) {
                  "print one {\"bench\":\"frserve\",...} stats line on exit");
   parser.AddBool("help", &help, "print usage");
 
-  const Status parse_status = parser.Parse(argc, argv);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n%s", parse_status.ToString().c_str(),
+  // Bad input prints the status and the usage, and exits 2.
+  auto usage_error = [&](const Status& status) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(),
                  parser.Usage("frserve").c_str());
     return 2;
+  };
+  if (const Status parsed = parser.Parse(argc, argv); !parsed.ok()) {
+    return usage_error(parsed);
   }
   if (help) {
     std::fputs(parser.Usage("frserve").c_str(), stdout);
     return 0;
   }
   if (uds.empty() && port < 0) {
-    std::fprintf(stderr, "InvalidArgument: need --uds and/or --port\n%s",
-                 parser.Usage("frserve").c_str());
-    return 2;
+    return usage_error(Status::InvalidArgument("need --uds and/or --port"));
   }
 
   net::ServiceConfig config;
@@ -121,12 +122,12 @@ int Run(int argc, char** argv) {
   config.protocol.max_changes = k;
   config.protocol.epsilon = eps;
   config.protocol.longitudinal_alpha = alpha;
-  if (const auto kind = rand::ParseRandomizerKind(randomizer); kind.ok()) {
-    config.protocol.randomizer = *kind;
-  } else {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 2;
+  const auto kind = rand::ParseRandomizerKind(randomizer);
+  const auto mode = core::ParseCheckpointMode(checkpoint_mode);
+  if (!kind.ok() || !mode.ok()) {
+    return usage_error(kind.ok() ? mode.status() : kind.status());
   }
+  config.protocol.randomizer = *kind;
   config.num_shards = static_cast<int>(shards);
   config.num_workers = static_cast<int>(workers);
   config.dedup =
@@ -135,15 +136,7 @@ int Run(int argc, char** argv) {
   config.worker_queue_capacity = static_cast<size_t>(queue_capacity);
   config.checkpoint_path = checkpoint;
   config.checkpoint_interval_ms = checkpoint_interval_ms;
-  if (checkpoint_mode == "full") {
-    config.checkpoint_mode = core::CheckpointMode::kFull;
-  } else if (checkpoint_mode == "delta") {
-    config.checkpoint_mode = core::CheckpointMode::kDelta;
-  } else {
-    std::fprintf(stderr,
-                 "InvalidArgument: --checkpoint-mode must be full or delta\n");
-    return 2;
-  }
+  config.checkpoint_mode = *mode;
   config.checkpoint_compact_every = checkpoint_compact_every;
   config.force_poll = force_poll;
 
@@ -205,30 +198,10 @@ int Run(int argc, char** argv) {
         .Add("backend", (*server)->using_epoll() ? "epoll" : "poll")
         .Add("workers", config.num_workers)
         .Add("port", bound_port)
-        .Add("connections_accepted", stats.connections_accepted)
-        .Add("frames_received", stats.frames_received)
-        .Add("batches_acked", stats.batches_acked)
-        .Add("batches_nacked", stats.batches_nacked)
-        .Add("batches_overloaded", stats.batches_overloaded)
-        .Add("batches_errored", stats.batches_errored)
-        .Add("records_applied", stats.records_applied)
-        .Add("records_deduped", stats.records_deduped)
-        .Add("records_out_of_window", stats.records_out_of_window)
-        .Add("checkpoints_taken", stats.checkpoints_taken)
-        .Add("delta_checkpoints_taken", stats.delta_checkpoints_taken)
-        .Add("checkpoint_bytes", stats.checkpoint_bytes);
+        .AddFields(stats);
     std::printf("%s\n", line.Str().c_str());
   } else {
-    std::printf(
-        "frserve exit: %lld conns, %lld frames, %lld acked, %lld nacked, "
-        "%lld overloaded, %lld errored, %lld applied\n",
-        static_cast<long long>(stats.connections_accepted),
-        static_cast<long long>(stats.frames_received),
-        static_cast<long long>(stats.batches_acked),
-        static_cast<long long>(stats.batches_nacked),
-        static_cast<long long>(stats.batches_overloaded),
-        static_cast<long long>(stats.batches_errored),
-        static_cast<long long>(stats.records_applied));
+    std::printf("frserve exit: %s\n", stats.ToString().c_str());
   }
   if (!served.ok()) {
     std::fprintf(stderr, "%s\n", served.ToString().c_str());
