@@ -64,12 +64,10 @@ Result<CGapEstimate> EstimateCGapMonteCarlo(rand::RandomizerKind kind,
       // reports of one client correlated, so each sample needs new clients).
       sample_range = 2.0;
       for (int64_t s = 0; s < samples; ++s) {
-        const std::unique_ptr<rand::SequenceRandomizer> one =
-            rand::NewRandomizer(params, rng.NextUint64());
-        const std::unique_ptr<rand::SequenceRandomizer> zero =
-            rand::NewRandomizer(params, rng.NextUint64());
-        sum += static_cast<double>(one->Randomize(int8_t{1}) -
-                                   zero->Randomize(int8_t{0}));
+        rand::SequenceRandomizer one(params, rng.NextUint64());
+        rand::SequenceRandomizer zero(params, rng.NextUint64());
+        sum += static_cast<double>(one.Randomize(int8_t{1}) -
+                                   zero.Randomize(int8_t{0}));
       }
       break;
     }

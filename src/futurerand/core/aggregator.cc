@@ -26,6 +26,21 @@ Result<CheckpointMode> ParseCheckpointMode(const std::string& name) {
   return Status::InvalidArgument("unknown checkpoint mode (want full|delta)");
 }
 
+CheckpointMode NextCheckpointMode(CheckpointMode mode, bool have_base,
+                                  int64_t taken, int64_t compact_every) {
+  return mode == CheckpointMode::kFull || !have_base ||
+                 taken % compact_every == 0
+             ? CheckpointMode::kFull
+             : CheckpointMode::kDelta;
+}
+
+Status ValidateCompactEvery(CheckpointMode mode, int64_t compact_every) {
+  if (mode == CheckpointMode::kDelta && compact_every < 1) {
+    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
+  }
+  return Status::OK();
+}
+
 ShardedAggregator::ShardedAggregator(int64_t num_periods,
                                      std::vector<double> level_scales,
                                      DedupPolicy dedup,

@@ -78,6 +78,18 @@ const char* CheckpointModeToString(CheckpointMode mode);
 /// Parses "full" / "delta" (the --checkpoint-mode flag spelling).
 Result<CheckpointMode> ParseCheckpointMode(const std::string& name);
 
+/// The cadence of a durable checkpoint chain under `mode`: what the next
+/// checkpoint takes when `taken` checkpoints were taken before it. A kFull
+/// compaction blob under kFull mode, when the chain has no base yet, and
+/// every `compact_every`-th checkpoint; a kDelta of the dirtied shards
+/// otherwise.
+CheckpointMode NextCheckpointMode(CheckpointMode mode, bool have_base,
+                                  int64_t taken, int64_t compact_every);
+
+/// Checks a chain's compaction cadence: kDelta mode needs
+/// compact_every >= 1 (kFull mode never reads it).
+Status ValidateCompactEvery(CheckpointMode mode, int64_t compact_every);
+
 /// Thread-safe sharded aggregator. Move-only (but moving is NOT thread-safe:
 /// quiesce all other calls first). Safe for concurrent Ingest*, Estimate*,
 /// Checkpoint and Restore calls; a query or checkpoint concurrent with an

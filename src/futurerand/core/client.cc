@@ -8,7 +8,7 @@
 namespace futurerand::core {
 
 Client::Client(const ProtocolConfig& config, int level,
-               std::unique_ptr<rand::SequenceRandomizer> randomizer)
+               rand::SequenceRandomizer randomizer)
     : config_(config),
       level_(level),
       interval_length_(int64_t{1} << level),
@@ -31,7 +31,7 @@ Result<Client> Client::Create(const ProtocolConfig& config, uint64_t seed) {
   // line 3); the per-level extension shrinks it to min(k, L).
   const int64_t support = config.SupportAtLevel(level);
   FR_ASSIGN_OR_RETURN(
-      std::unique_ptr<rand::SequenceRandomizer> randomizer,
+      rand::SequenceRandomizer randomizer,
       rand::MakeSequenceRandomizer(config.randomizer, length, support,
                                    config.epsilon, rng.NextUint64(),
                                    config.longitudinal_alpha));
@@ -61,7 +61,7 @@ Result<std::optional<int8_t>> Client::ObserveState(int8_t state) {
       static_cast<int8_t>(current_state_ - boundary_state_);
   boundary_state_ = current_state_;
   ++reports_sent_;
-  return std::optional<int8_t>(randomizer_->Randomize(partial_sum));
+  return std::optional<int8_t>(randomizer_.Randomize(partial_sum));
 }
 
 Result<std::optional<int8_t>> Client::ObserveDerivative(int8_t derivative) {

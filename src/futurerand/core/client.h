@@ -11,7 +11,6 @@
 #define FUTURERAND_CORE_CLIENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "futurerand/common/result.h"
@@ -65,24 +64,24 @@ class Client {
   /// and were clamped to noise-only reports. Always 0 for contract-abiding
   /// inputs.
   int64_t support_overflow_count() const {
-    return randomizer_->support_overflow_count();
+    return randomizer_.support_overflow_count();
   }
 
   /// The exact c_gap of the underlying randomizer (the server needs the
   /// same constant for debiasing).
-  double c_gap() const { return randomizer_->c_gap(); }
+  double c_gap() const { return randomizer_.params().c_gap; }
 
   /// Read access to the underlying randomizer (for audits and tests).
-  const rand::SequenceRandomizer& randomizer() const { return *randomizer_; }
+  const rand::SequenceRandomizer& randomizer() const { return randomizer_; }
 
  private:
   Client(const ProtocolConfig& config, int level,
-         std::unique_ptr<rand::SequenceRandomizer> randomizer);
+         rand::SequenceRandomizer randomizer);
 
   ProtocolConfig config_;
   int level_;
   int64_t interval_length_;  // 2^{h_u}
-  std::unique_ptr<rand::SequenceRandomizer> randomizer_;
+  rand::SequenceRandomizer randomizer_;
 
   int64_t time_ = 0;
   int8_t current_state_ = 0;   // st_u[t], with st_u[0] = 0

@@ -1,5 +1,6 @@
 #include "futurerand/core/fleet.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -9,7 +10,6 @@
 #include "futurerand/common/macros.h"
 #include "futurerand/common/random.h"
 #include "futurerand/common/simd.h"
-#include "futurerand/randomizer/longitudinal.h"
 
 namespace futurerand::core {
 
@@ -34,7 +34,7 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   fleet.levels_.resize(n);
   fleet.current_states_.assign(n, 0);
   fleet.boundary_states_.assign(n, 0);
-  fleet.randomizers_.resize(n);
+  fleet.randomizers_.resize((n + kChunkSize - 1) >> kChunkShift);
   fleet.registrations_.resize(n);
 
   // Randomizer parameters depend on a client only through its level
@@ -56,7 +56,7 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   // Each client's creation mirrors Client::Create exactly: one Rng seeded
   // from the forked stream draws the level, then seeds the randomizer.
   const Rng base(base_seed);
-  auto create_range = [&](int64_t begin, int64_t end) {
+  auto create_chunks = [&](int64_t first_chunk, int64_t end_chunk) {
     // Every client copies its level's handle, and copies of one shared_ptr
     // all update one reference count: a cache line the pool's threads
     // would fight over. A chunk-local handle per level (its own count; its
@@ -67,27 +67,35 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
       local.emplace_back(block.get(),
                          [block](const rand::RandomizerParams*) {});
     }
-    for (int64_t u = begin; u < end; ++u) {
-      const auto i = static_cast<size_t>(u);
-      const int64_t client_id = first_client_id + u;
-      Rng rng(base.Fork(static_cast<uint64_t>(client_id)).NextUint64());
-      // The level draw is skipped entirely for longitudinal clients — not
-      // drawn-and-discarded — so the randomizer seed is the FIRST draw on
-      // both the fleet and the per-client path, keeping them bit-identical.
-      const int level =
-          longitudinal ? 0
-                       : static_cast<int>(rng.NextInt(
-                             static_cast<uint64_t>(config.num_orders())));
-      fleet.levels_[i] = level;
-      fleet.randomizers_[i] = rand::NewRandomizer(
-          local[static_cast<size_t>(level)], rng.NextUint64());
-      fleet.registrations_[i] = RegistrationMessage{client_id, level};
+    for (auto c = static_cast<size_t>(first_chunk);
+         c < static_cast<size_t>(end_chunk); ++c) {
+      const size_t begin = c << kChunkShift;
+      const size_t end = std::min(n, begin + kChunkSize);
+      std::vector<rand::SequenceRandomizer>& chunk = fleet.randomizers_[c];
+      chunk.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        const int64_t client_id = first_client_id + static_cast<int64_t>(i);
+        Rng rng(base.Fork(static_cast<uint64_t>(client_id)).NextUint64());
+        // The level draw is skipped entirely for longitudinal clients —
+        // not drawn-and-discarded — so the randomizer seed is the FIRST
+        // draw on both the fleet and the per-client path, keeping them
+        // bit-identical.
+        const int level =
+            longitudinal ? 0
+                         : static_cast<int>(rng.NextInt(
+                               static_cast<uint64_t>(config.num_orders())));
+        fleet.levels_[i] = level;
+        chunk.emplace_back(local[static_cast<size_t>(level)],
+                           rng.NextUint64());
+        fleet.registrations_[i] = RegistrationMessage{client_id, level};
+      }
     }
   };
-  if (pool != nullptr && num_clients > 1) {
-    pool->ParallelFor(num_clients, create_range);
+  const auto num_chunks = static_cast<int64_t>(fleet.randomizers_.size());
+  if (pool != nullptr && num_chunks > 1) {
+    pool->ParallelFor(num_chunks, create_chunks);
   } else {
-    create_range(0, num_clients);
+    create_chunks(0, num_chunks);
   }
 
   // Precompute the nested reporting cohorts (id order within each): client
@@ -213,7 +221,7 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
         const auto i = static_cast<size_t>(u);
         (*batch)[i] = ReportMessage{
             first_client_id_ + u, t,
-            randomizers_[i]->Randomize(partial_scratch_[i])};
+            randomizer(i).Randomize(partial_scratch_[i])};
       }
     };
     if (pool_ != nullptr && n > 1) {
@@ -235,7 +243,7 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
         boundary_states_[i] = state;
         (*batch)[static_cast<size_t>(j)] = ReportMessage{
             first_client_id_ + static_cast<int64_t>(i), t,
-            randomizers_[i]->Randomize(partial_sum)};
+            randomizer(i).Randomize(partial_sum)};
       }
     };
     const auto cohort_size = static_cast<int64_t>(cohort.size());
@@ -288,20 +296,21 @@ Result<std::string> ClientFleet::EncodeLongitudinalState() const {
   // Per-client memoization state, in client-id order. Every longitudinal
   // client sits at level 0, so position == time_ fleet-wide and is not
   // repeated per client.
-  for (const auto& randomizer : randomizers_) {
-    const auto& longitudinal =
-        static_cast<const rand::LongitudinalRandomizer&>(*randomizer);
-    const rand::LongitudinalRandomizer::State state =
-        longitudinal.ExportState();
-    wire_internal::PutFixed64(state.rng_state, &out);
-    wire_internal::PutFixed64(state.hash_seed[0], &out);
-    wire_internal::PutFixed64(state.hash_seed[1], &out);
-    wire_internal::PutVarint64(
-        wire_internal::ZigZagEncode(state.memo[0]), &out);
-    wire_internal::PutVarint64(
-        wire_internal::ZigZagEncode(state.memo[1]), &out);
-    wire_internal::PutVarint64(static_cast<uint64_t>(state.changes), &out);
-    out.push_back(static_cast<char>(state.tracked_state));
+  for (const auto& chunk : randomizers_) {
+    for (const rand::SequenceRandomizer& randomizer : chunk) {
+      const rand::SequenceRandomizer::LongitudinalState& state =
+          randomizer.longitudinal_state();
+      wire_internal::PutFixed64(state.rng_state, &out);
+      wire_internal::PutFixed64(state.hash_seed[0], &out);
+      wire_internal::PutFixed64(state.hash_seed[1], &out);
+      wire_internal::PutVarint64(
+          wire_internal::ZigZagEncode(state.memo[0]), &out);
+      wire_internal::PutVarint64(
+          wire_internal::ZigZagEncode(state.memo[1]), &out);
+      wire_internal::PutVarint64(
+          static_cast<uint64_t>(randomizer.support_used()), &out);
+      out.push_back(static_cast<char>(state.tracked_state));
+    }
   }
   wire_internal::AppendChecksum(&out);
   return out;
@@ -371,10 +380,11 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
   // ShardedAggregator::Restore, this either replaces the whole fleet's
   // longitudinal state or leaves it untouched.
   const auto n = static_cast<size_t>(size());
-  std::vector<rand::LongitudinalRandomizer::State> states(n);
+  std::vector<rand::SequenceRandomizer::LongitudinalState> states(n);
+  std::vector<int64_t> changes(n);
   uint64_t changes_sum = 0;
   for (size_t i = 0; i < n; ++i) {
-    rand::LongitudinalRandomizer::State& state = states[i];
+    rand::SequenceRandomizer::LongitudinalState& state = states[i];
     FR_ASSIGN_OR_RETURN(state.rng_state,
                         wire_internal::GetFixed64(&bytes));
     FR_ASSIGN_OR_RETURN(state.hash_seed[0],
@@ -394,13 +404,12 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
     FR_ASSIGN_OR_RETURN(const uint64_t client_changes,
                         wire_internal::GetVarint64(&bytes));
     changes_sum += client_changes;
-    state.changes = static_cast<int64_t>(client_changes);
+    changes[i] = static_cast<int64_t>(client_changes);
     if (bytes.empty()) {
       return Status::InvalidArgument("snapshot truncated");
     }
     state.tracked_state = static_cast<int8_t>(bytes.front());
     bytes.remove_prefix(1);
-    state.position = time;
   }
   if (!bytes.empty()) {
     return Status::InvalidArgument(
@@ -412,18 +421,17 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
   }
   // Validate every client against the randomizer spec (memo range, Boolean
   // state, kind-specific seed constraints) before importing any, so a bad
-  // blob leaves the whole fleet untouched; the imports after that cannot
-  // fail.
+  // blob leaves the whole fleet untouched; the restores after that cannot
+  // fail. Every client sits at level 0, so its position is the fleet clock.
   for (size_t i = 0; i < n; ++i) {
-    auto* longitudinal =
-        static_cast<rand::LongitudinalRandomizer*>(randomizers_[i].get());
-    FR_RETURN_NOT_OK(longitudinal->ValidateState(states[i]));
+    FR_RETURN_NOT_OK(
+        randomizer(i).ValidateLongitudinalState(states[i], time, changes[i]));
   }
   for (size_t i = 0; i < n; ++i) {
-    auto* longitudinal =
-        static_cast<rand::LongitudinalRandomizer*>(randomizers_[i].get());
-    FR_CHECK_MSG(longitudinal->ImportState(states[i]).ok(),
-                 "validated longitudinal state failed to import");
+    FR_CHECK_MSG(
+        randomizer(i).RestoreLongitudinalState(states[i], time, changes[i])
+            .ok(),
+        "validated longitudinal state failed to restore");
   }
   time_ = time;
   reports_emitted_ = static_cast<int64_t>(raw_reports);
@@ -441,8 +449,10 @@ int64_t ClientFleet::changes_seen() const { return changes_total_; }
 
 int64_t ClientFleet::support_overflow_count() const {
   int64_t total = 0;
-  for (const auto& randomizer : randomizers_) {
-    total += randomizer->support_overflow_count();
+  for (const auto& chunk : randomizers_) {
+    for (const rand::SequenceRandomizer& randomizer : chunk) {
+      total += randomizer.support_overflow_count();
+    }
   }
   return total;
 }

@@ -2,8 +2,9 @@
 // and advances all of them one time period per call.
 //
 // The per-client state machine is identical to core::Client (Algorithm 1),
-// but stored structure-of-arrays — levels, boundary states and randomizer
-// instances live in parallel vectors — so one AdvanceTick call replaces N
+// but stored structure-of-arrays — levels and boundary states live in
+// parallel vectors, and each client's rand::SequenceRandomizer is held by
+// value in a column beside them — so one AdvanceTick call replaces N
 // ObserveState calls, parallelizes over a ThreadPool, and emits a packed
 // ReportBatch ready for wire encoding. Client u's randomness derives from
 // Rng(base_seed).Fork(client_id) exactly like the per-client path, so a
@@ -14,7 +15,6 @@
 #define FUTURERAND_CORE_FLEET_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -145,6 +145,11 @@ class ClientFleet {
   // Shared implementation; `states` has been validated by the caller.
   void TickValidated(std::span<const int8_t> states, ReportBatch* batch);
 
+  // Client `index`'s randomizer (0-based position, not id).
+  rand::SequenceRandomizer& randomizer(size_t index) {
+    return randomizers_[index >> kChunkShift][index & (kChunkSize - 1)];
+  }
+
   ProtocolConfig config_;
   ThreadPool* pool_;  // not owned; may be null
   int64_t first_client_id_;
@@ -156,7 +161,13 @@ class ClientFleet {
   std::vector<int> levels_;
   std::vector<int8_t> current_states_;   // st[t], with st[0] = 0
   std::vector<int8_t> boundary_states_;  // st at the last dyadic boundary
-  std::vector<std::unique_ptr<rand::SequenceRandomizer>> randomizers_;
+
+  // The randomizer column, by value, in chunks of kChunkSize clients that
+  // Create's pool builds one per task, so the column's pages are first
+  // touched in parallel (a single vector would touch them all serially).
+  static constexpr int kChunkShift = 14;
+  static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
+  std::vector<std::vector<rand::SequenceRandomizer>> randomizers_;
 
   // Reporting cohorts, precomputed at Create: cohort_by_tz_[z] lists the
   // client positions (id order) whose level h satisfies h <= z — exactly

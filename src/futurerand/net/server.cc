@@ -81,10 +81,8 @@ Status ServiceConfig::Validate() const {
     return Status::InvalidArgument(
         "checkpoint_interval_ms needs a checkpoint_path");
   }
-  if (checkpoint_mode == core::CheckpointMode::kDelta &&
-      checkpoint_compact_every < 1) {
-    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
-  }
+  FR_RETURN_NOT_OK(
+      core::ValidateCompactEvery(checkpoint_mode, checkpoint_compact_every));
   return Status::OK();
 }
 
@@ -649,19 +647,18 @@ void IngestServer::CloseListeners() {
 }
 
 Status IngestServer::DoCheckpoint(bool final) {
-  // Mirrors the runner's durable-chain policy: a full compaction blob
-  // under kFull mode, for the first checkpoint of a chain, on the forced
-  // final compaction, and every checkpoint_compact_every-th checkpoint;
-  // a delta of the dirtied shards otherwise.
+  // The runner's durable-chain cadence (core::NextCheckpointMode), except
+  // that the final checkpoint is always a full compaction.
   int64_t taken;
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     taken = stats_.checkpoints_taken;
   }
   const bool full =
-      config_.checkpoint_mode == core::CheckpointMode::kFull ||
-      !checkpoint_base_taken_ || final ||
-      taken % config_.checkpoint_compact_every == 0;
+      final || core::NextCheckpointMode(
+                   config_.checkpoint_mode, checkpoint_base_taken_, taken,
+                   config_.checkpoint_compact_every) ==
+                   core::CheckpointMode::kFull;
   std::string blob;
   if (full) {
     FR_ASSIGN_OR_RETURN(blob,

@@ -3,8 +3,6 @@
 
 #include "futurerand/common/macros.h"
 #include "futurerand/randomizer/annulus.h"
-#include "futurerand/randomizer/future_rand.h"
-#include "futurerand/randomizer/independent.h"
 #include "futurerand/randomizer/longitudinal.h"
 #include "futurerand/randomizer/randomizer.h"
 
@@ -115,33 +113,90 @@ Result<std::shared_ptr<const RandomizerParams>> MakeRandomizerParams(
   return std::shared_ptr<const RandomizerParams>(std::move(params));
 }
 
-std::unique_ptr<SequenceRandomizer> NewRandomizer(
-    std::shared_ptr<const RandomizerParams> params, uint64_t seed) {
-  switch (params->kind) {
+SequenceRandomizer::SequenceRandomizer(
+    std::shared_ptr<const RandomizerParams> params, uint64_t seed)
+    : params_(std::move(params)), state_(LongitudinalState{}) {
+  switch (params_->kind) {
     case RandomizerKind::kFutureRand:
-    case RandomizerKind::kBun:
-      return std::make_unique<FutureRandRandomizer>(std::move(params), seed);
+    case RandomizerKind::kBun: {
+      // M.init (Algorithm 3 lines 8-11): draw the correlated noise for all
+      // future non-zero inputs now, b~ = R~(1^k), exploiting the symmetry
+      // of the input space.
+      FR_CHECK_MSG(params_->composed.has_value(), "no composed randomizer");
+      Rng rng(seed);
+      SignVector b_tilde =
+          params_->composed->Apply(SignVector(params_->max_support), &rng);
+      state_ = DyadicState{std::move(rng), std::move(b_tilde)};
+      return;
+    }
     case RandomizerKind::kIndependent:
-      return std::make_unique<IndependentRandomizer>(std::move(params), seed);
+      FR_CHECK_MSG(params_->basic.has_value(), "no basic randomizer");
+      state_ = DyadicState{Rng(seed), SignVector(0)};
+      return;
     case RandomizerKind::kLGrr:
     case RandomizerKind::kLOlh:
-    case RandomizerKind::kLoloha:
-      return std::make_unique<LongitudinalRandomizer>(std::move(params),
-                                                      seed);
+    case RandomizerKind::kLoloha: {
+      FR_CHECK_MSG(params_->longitudinal.has_value(), "no longitudinal spec");
+      auto& state = std::get<LongitudinalState>(state_);
+      state.rng_state = seed;
+      if (params_->kind == RandomizerKind::kLoloha) {
+        // One permanent hash seed shared by every value — the LOLOHA
+        // domain-reduction trick. Both slots alias it so the per-value
+        // lookup is kind-agnostic.
+        state.hash_seed[0] = SplitMix64Next(&state.rng_state);
+        state.hash_seed[1] = state.hash_seed[0];
+      }
+      return;
+    }
     case RandomizerKind::kAdaptive:
       break;
   }
   FR_CHECK_MSG(false, "parameter block of an unresolved randomizer kind");
-  return nullptr;
 }
 
-Result<std::unique_ptr<SequenceRandomizer>> MakeSequenceRandomizer(
+int8_t SequenceRandomizer::Randomize(int8_t value) {
+  FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
+               "inputs must be in {-1, 0, +1}");
+  FR_CHECK_MSG(position_ < params_->length,
+               "more inputs than the configured length");
+  if (IsLongitudinalKind(params_->kind)) {
+    return RandomizeLongitudinal(value);
+  }
+  DyadicState& state = std::get<DyadicState>(state_);
+  ++position_;
+  if (value == 0) {
+    return state.rng.NextSign();
+  }
+  if (support_used_ >= params_->max_support) {
+    // Over-budget non-zero input: fall back to the zero-coordinate law so
+    // the output distribution (and thus the privacy certificate) is
+    // unchanged; the report merely carries no signal. For kIndependent this
+    // keeps the composition argument (k randomized responses at eps/k
+    // each) intact.
+    ++state.overflow_count;
+    return state.rng.NextSign();
+  }
+  const int64_t nnz = support_used_++;
+  if (params_->kind == RandomizerKind::kIndependent) {
+    return params_->basic->Apply(value, &state.rng);
+  }
+  // Algorithm 3 lines 13-15: v_j * b~_nnz.
+  return static_cast<int8_t>(value * state.b_tilde.Get(nnz));
+}
+
+const SignVector& SequenceRandomizer::precomputed_noise() const {
+  FR_CHECK_MSG(params_->composed.has_value(),
+               "only FutureRand and Bun pre-compute noise");
+  return std::get<DyadicState>(state_).b_tilde;
+}
+
+Result<SequenceRandomizer> MakeSequenceRandomizer(
     RandomizerKind kind, int64_t length, int64_t max_support, double epsilon,
     uint64_t seed, double alpha) {
   FR_ASSIGN_OR_RETURN(
       std::shared_ptr<const RandomizerParams> params,
       MakeRandomizerParams(kind, length, max_support, epsilon, alpha));
-  return NewRandomizer(std::move(params), seed);
+  return SequenceRandomizer(std::move(params), seed);
 }
 
 Result<double> ExactCGap(RandomizerKind kind, int64_t max_support,

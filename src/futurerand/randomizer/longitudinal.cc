@@ -1,7 +1,7 @@
 #include "futurerand/randomizer/longitudinal.h"
 
 #include <cmath>
-#include <utility>
+#include <variant>
 
 #include "futurerand/common/macros.h"
 #include "futurerand/common/random.h"
@@ -25,6 +25,40 @@ int32_t HashValueToG(uint64_t seed, int value, int64_t g) {
       seed ^ (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(value + 1));
   return static_cast<int32_t>(SplitMix64Next(&state) %
                               static_cast<uint64_t>(g));
+}
+
+using LongitudinalState = SequenceRandomizer::LongitudinalState;
+
+// Two-round GRR over [0, g), consuming draws from the SplitMix64 chain.
+int32_t GrrSample(const LongitudinalSpec& spec, int32_t input,
+                  double keep_probability, LongitudinalState* state) {
+  if (ToUnitDouble(SplitMix64Next(&state->rng_state)) < keep_probability) {
+    return input;
+  }
+  // Uniform among the other g - 1 values.
+  const auto j = static_cast<int32_t>(SplitMix64Next(&state->rng_state) %
+                                      static_cast<uint64_t>(spec.g - 1));
+  return j >= input ? j + 1 : j;
+}
+
+// The memoized first-round value of true value `v`, sampling it (and, for
+// kLOlh, its permanent hash seed) on first use.
+int32_t MemoizedFirstRound(const LongitudinalSpec& spec, int v,
+                           LongitudinalState* state) {
+  int32_t& memo = state->memo[v];
+  if (memo >= 0) {
+    return memo;
+  }
+  if (spec.kind == RandomizerKind::kLOlh) {
+    // L-LH draws a fresh hash seed alongside each value's permanent
+    // sanitization (the reference implementation memoizes the pair).
+    state->hash_seed[v] = SplitMix64Next(&state->rng_state);
+  }
+  const int32_t input = spec.kind == RandomizerKind::kLGrr
+                            ? v
+                            : HashValueToG(state->hash_seed[v], v, spec.g);
+  memo = GrrSample(spec, input, spec.p1, state);
+  return memo;
 }
 
 }  // namespace
@@ -103,103 +137,66 @@ Result<LongitudinalSpec> MakeLongitudinalSpec(RandomizerKind kind,
   return spec;
 }
 
-LongitudinalRandomizer::LongitudinalRandomizer(
-    std::shared_ptr<const RandomizerParams> params, uint64_t seed)
-    : params_(std::move(params)) {
-  FR_CHECK_MSG(params_->longitudinal.has_value(),
-               "not a longitudinal parameter block");
-  state_.rng_state = seed;
-  if (params_->kind == RandomizerKind::kLoloha) {
-    // One permanent hash seed shared by every value — the LOLOHA
-    // domain-reduction trick. Both slots alias it so the per-value lookup
-    // below is kind-agnostic.
-    const uint64_t shared = SplitMix64Next(&state_.rng_state);
-    state_.hash_seed[0] = shared;
-    state_.hash_seed[1] = shared;
-  }
-}
-
-int32_t LongitudinalRandomizer::GrrSample(int32_t input,
-                                          double keep_probability) {
-  if (ToUnitDouble(SplitMix64Next(&state_.rng_state)) < keep_probability) {
-    return input;
-  }
-  // Uniform among the other g - 1 values.
-  const auto j = static_cast<int32_t>(
-      SplitMix64Next(&state_.rng_state) %
-      static_cast<uint64_t>(spec().g - 1));
-  return j >= input ? j + 1 : j;
-}
-
-int32_t LongitudinalRandomizer::MemoizedFirstRound(int v) {
-  int32_t& memo = state_.memo[v];
-  if (memo >= 0) {
-    return memo;
-  }
-  if (spec().kind == RandomizerKind::kLOlh) {
-    // L-LH draws a fresh hash seed alongside each value's permanent
-    // sanitization (the reference implementation memoizes the pair).
-    state_.hash_seed[v] = SplitMix64Next(&state_.rng_state);
-  }
-  const int32_t input = spec().kind == RandomizerKind::kLGrr
-                            ? v
-                            : HashValueToG(state_.hash_seed[v], v, spec().g);
-  memo = GrrSample(input, spec().p1);
-  return memo;
-}
-
-int8_t LongitudinalRandomizer::Randomize(int8_t value) {
-  FR_CHECK_MSG(value == -1 || value == 0 || value == 1,
-               "inputs must be in {-1, 0, +1}");
-  FR_CHECK_MSG(state_.position < length(),
-               "more inputs than the configured length");
-  const int next = state_.tracked_state + value;
+int8_t SequenceRandomizer::RandomizeLongitudinal(int8_t value) {
+  const LongitudinalSpec& spec = *params_->longitudinal;
+  LongitudinalState& state = std::get<LongitudinalState>(state_);
+  const int next = state.tracked_state + value;
   FR_CHECK_MSG(next == 0 || next == 1,
                "derivative would move the Boolean state outside {0,1}");
-  ++state_.position;
+  ++position_;
   if (value != 0) {
-    ++state_.changes;
+    ++support_used_;
   }
-  state_.tracked_state = static_cast<int8_t>(next);
-  const int32_t second = GrrSample(MemoizedFirstRound(next), spec().p2);
-  if (spec().kind == RandomizerKind::kLGrr) {
+  state.tracked_state = static_cast<int8_t>(next);
+  const int32_t second =
+      GrrSample(spec, MemoizedFirstRound(spec, next, &state), spec.p2, &state);
+  if (spec.kind == RandomizerKind::kLGrr) {
     return second == 1 ? int8_t{1} : int8_t{-1};
   }
   // Support bit against the hash of candidate value 1 under the seed that
   // produced this report's memoized round (the estimator's u1/u0 are
   // derived for exactly this comparison).
-  const int32_t candidate =
-      HashValueToG(state_.hash_seed[next], 1, spec().g);
+  const int32_t candidate = HashValueToG(state.hash_seed[next], 1, spec.g);
   return second == candidate ? int8_t{1} : int8_t{-1};
 }
 
-std::string LongitudinalRandomizer::name() const {
-  return RandomizerKindToString(params_->kind);
+const SequenceRandomizer::LongitudinalState&
+SequenceRandomizer::longitudinal_state() const {
+  FR_CHECK_MSG(params_->longitudinal.has_value(),
+               "not a longitudinal randomizer");
+  return std::get<LongitudinalState>(state_);
 }
 
-Status LongitudinalRandomizer::ImportState(const State& state) {
-  FR_RETURN_NOT_OK(ValidateState(state));
+Status SequenceRandomizer::RestoreLongitudinalState(
+    const LongitudinalState& state, int64_t position, int64_t support_used) {
+  FR_RETURN_NOT_OK(ValidateLongitudinalState(state, position, support_used));
   state_ = state;
+  position_ = position;
+  support_used_ = support_used;
   return Status::OK();
 }
 
-Status LongitudinalRandomizer::ValidateState(const State& state) const {
-  if (state.position < 0 || state.position > length()) {
+Status SequenceRandomizer::ValidateLongitudinalState(
+    const LongitudinalState& state, int64_t position,
+    int64_t support_used) const {
+  FR_CHECK_MSG(params_->longitudinal.has_value(),
+               "not a longitudinal randomizer");
+  const LongitudinalSpec& spec = *params_->longitudinal;
+  if (position < 0 || position > params_->length) {
     return Status::InvalidArgument("imported position outside [0, length]");
   }
   if (state.tracked_state != 0 && state.tracked_state != 1) {
     return Status::InvalidArgument("imported Boolean state outside {0,1}");
   }
-  if (state.changes < 0 || state.changes > state.position) {
+  if (support_used < 0 || support_used > position) {
     return Status::InvalidArgument("imported change count exceeds position");
   }
   for (int v = 0; v < 2; ++v) {
-    if (state.memo[v] < -1 ||
-        state.memo[v] >= static_cast<int32_t>(spec().g)) {
+    if (state.memo[v] < -1 || state.memo[v] >= static_cast<int32_t>(spec.g)) {
       return Status::InvalidArgument("imported memo value outside [-1, g)");
     }
   }
-  switch (spec().kind) {
+  switch (spec.kind) {
     case RandomizerKind::kLGrr:
       // Pure GRR never draws hash seeds; non-zero ones mean a forged or
       // cross-kind blob.
@@ -224,7 +221,7 @@ Status LongitudinalRandomizer::ValidateState(const State& state) const {
       }
       break;
     default:
-      return Status::Internal("non-longitudinal spec in ValidateState");
+      break;
   }
   return Status::OK();
 }

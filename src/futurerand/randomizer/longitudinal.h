@@ -15,7 +15,7 @@
 //   kLoloha  OLOLOHA: one permanent per-client hash seed shared by every
 //            value, the same optimal g, parameterized by alpha.
 //
-// Fit into the SequenceRandomizer interface: unlike the dyadic
+// As a SequenceRandomizer (randomizer.h) kind: unlike the dyadic
 // constructions, a longitudinal client sits at level 0 and reports every
 // tick. The randomizer ingests the level-0 partial sum — which at level 0
 // is exactly the derivative st[t] - st[t-1] — and integrates it back into
@@ -28,8 +28,8 @@
 //   E[report | st = 0] = u0   (kLGrr: 1 - 2*p_stay; hashing kinds: 2/g - 1)
 //
 // so the server's direct estimator n1_hat(t) = (S_t - n*u0) / (u1 - u0) is
-// unbiased (see core::EstimatorSpec). c_gap() returns u1 - u0, the
-// estimator's sensitivity gap.
+// unbiased (see core::EstimatorSpec). The parameter block's c_gap is
+// u1 - u0, the estimator's sensitivity gap.
 //
 // All randomness is drawn from a serializable SplitMix64 chain, so the
 // memoized state round-trips bit-identically through FRW fleet snapshots
@@ -39,7 +39,6 @@
 #define FUTURERAND_RANDOMIZER_LONGITUDINAL_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "futurerand/common/result.h"
 #include "futurerand/randomizer/randomizer.h"
@@ -56,71 +55,6 @@ Result<LongitudinalSpec> MakeLongitudinalSpec(RandomizerKind kind,
 /// The optimal GRR domain size g for the hashing kinds (L-OLH / OLOLOHA)
 /// at (eps_perm, alpha), floored at 2. kLGrr always uses g = 2.
 int64_t OptimalLongitudinalG(double eps_perm, double alpha);
-
-/// One client's memoized longitudinal randomizer.
-class LongitudinalRandomizer : public SequenceRandomizer {
- public:
-  /// Serializable snapshot of every bit of mutable state plus the
-  /// creation-time hash seeds. Plain struct (no wire dependency — the
-  /// randomizer layer sits below core); core/fleet.cc owns the FRW framing.
-  struct State {
-    uint64_t rng_state = 0;    // SplitMix64 chain position
-    int64_t position = 0;      // inputs consumed so far
-    int8_t tracked_state = 0;  // integrated Boolean value st[t]
-    int64_t changes = 0;       // non-zero derivatives seen (support_used)
-    // Per true value v in {0, 1}: the permanent hash seed (hashing kinds;
-    // kLoloha shares one seed across both slots, kLGrr leaves them 0) and
-    // the memoized first-round value in [0, g), -1 until first sampled.
-    uint64_t hash_seed[2] = {0, 0};
-    int32_t memo[2] = {-1, -1};
-  };
-
-  /// Creation-time state of one client: the SplitMix64 chain starts at
-  /// `seed`, and kLoloha draws its one permanent hash seed from it here.
-  /// `params` must be a longitudinal MakeRandomizerParams block. The
-  /// instance never clamps: max_support() == length().
-  LongitudinalRandomizer(std::shared_ptr<const RandomizerParams> params,
-                         uint64_t seed);
-
-  /// `value` is the level-0 partial sum, i.e. the derivative in {-1,0,+1};
-  /// the implied state must stay in {0,1} (the fleet validates this).
-  int8_t Randomize(int8_t value) override;
-
-  double c_gap() const override { return params_->c_gap; }
-  int64_t length() const override { return params_->length; }
-  int64_t max_support() const override { return params_->length; }
-  double epsilon() const override { return spec().eps_perm; }
-  int64_t position() const override { return state_.position; }
-  int64_t support_used() const override { return state_.changes; }
-  int64_t support_overflow_count() const override { return 0; }
-  std::string name() const override;
-
-  const LongitudinalSpec& spec() const { return *params_->longitudinal; }
-
-  /// The full mutable state, for FRW fleet snapshots.
-  State ExportState() const { return state_; }
-
-  /// Replaces the state wholesale. Validates every field against the spec
-  /// (memo range, position vs length, Boolean state) so a forged snapshot
-  /// cannot put the randomizer into an impossible configuration.
-  Status ImportState(const State& state);
-
-  /// The validation half of ImportState, without the mutation — callers
-  /// restoring many randomizers at once (core/fleet.cc) validate everything
-  /// first so a bad blob leaves every instance untouched.
-  Status ValidateState(const State& state) const;
-
- private:
-  // Two-round GRR over [0, g), consuming draws from the SplitMix64 chain.
-  int32_t GrrSample(int32_t input, double keep_probability);
-
-  // The permanent hash seed used for value `v` (sampling it lazily for
-  // kLOlh) and the memoized first-round value, sampling it on first use.
-  int32_t MemoizedFirstRound(int v);
-
-  std::shared_ptr<const RandomizerParams> params_;
-  State state_;
-};
 
 }  // namespace futurerand::rand
 

@@ -105,17 +105,12 @@ Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
     if (faults.checkpoint_every == 0 || t % faults.checkpoint_every != 0) {
       return Status::OK();
     }
-    // Extend the durable chain: a full compaction blob every
-    // checkpoint_compact_every checkpoints (always, under kFull mode and
-    // for the very first checkpoint), a delta of the dirtied shards
-    // otherwise.
-    const bool full =
-        faults.checkpoint_mode == core::CheckpointMode::kFull ||
-        checkpoint_base.empty() ||
-        result.delivery.checkpoints_taken %
-                faults.checkpoint_compact_every ==
-            0;
-    if (full) {
+    // Extend the durable chain: a full compaction blob or a delta of the
+    // dirtied shards, by the shared cadence.
+    if (core::NextCheckpointMode(
+            faults.checkpoint_mode, !checkpoint_base.empty(),
+            result.delivery.checkpoints_taken,
+            faults.checkpoint_compact_every) == core::CheckpointMode::kFull) {
       FR_ASSIGN_OR_RETURN(checkpoint_base,
                           aggregator.Checkpoint(core::CheckpointMode::kFull));
       checkpoint_deltas.clear();
@@ -515,12 +510,8 @@ Status FaultOptions::Validate() const {
   if (checkpoint_every < 0) {
     return Status::InvalidArgument("checkpoint_every must be >= 0");
   }
-  if (checkpoint_mode == core::CheckpointMode::kDelta &&
-      checkpoint_compact_every < 1) {
-    // Only delta mode reads the compaction cadence (runner.h documents it
-    // as ignored under kFull).
-    return Status::InvalidArgument("checkpoint_compact_every must be >= 1");
-  }
+  FR_RETURN_NOT_OK(
+      core::ValidateCompactEvery(checkpoint_mode, checkpoint_compact_every));
   if (retransmit_budget < 1) {
     return Status::InvalidArgument("retransmit_budget must be >= 1");
   }
@@ -535,30 +526,21 @@ Status FaultOptions::Validate() const {
 
 const char* ProtocolKindToString(ProtocolKind kind) {
   switch (kind) {
-    case ProtocolKind::kFutureRand:
-      return "future_rand";
-    case ProtocolKind::kIndependent:
-      return "independent";
-    case ProtocolKind::kBun:
-      return "bun";
-    case ProtocolKind::kAdaptive:
-      return "adaptive";
     case ProtocolKind::kErlingsson:
       return "erlingsson";
     case ProtocolKind::kNaiveRR:
       return "naive_rr";
     case ProtocolKind::kCentralTree:
       return "central_tree";
-    case ProtocolKind::kLGrr:
-      return "lgrr";
-    case ProtocolKind::kLOlh:
-      return "lolh";
-    case ProtocolKind::kLoloha:
-      return "loloha";
     case ProtocolKind::kNonPrivate:
       return "non_private";
+    default:
+      break;
   }
-  return "unknown";
+  // A fleet pipeline is named after the randomizer it runs.
+  const Result<rand::RandomizerKind> randomizer = RandomizerFor(kind);
+  return randomizer.ok() ? rand::RandomizerKindToString(*randomizer)
+                         : "unknown";
 }
 
 Result<ProtocolKind> ParseProtocolKind(const std::string& name) {
@@ -590,12 +572,12 @@ Result<rand::RandomizerKind> RandomizerFor(ProtocolKind kind) {
     case ProtocolKind::kNaiveRR:
     case ProtocolKind::kCentralTree:
     case ProtocolKind::kNonPrivate:
-      break;
+      return Status::InvalidArgument(
+          std::string(ProtocolKindToString(kind)) +
+          " does not run a client fleet (fleet pipelines: future_rand | "
+          "independent | bun | adaptive | lgrr | lolh | loloha)");
   }
-  return Status::InvalidArgument(
-      std::string(ProtocolKindToString(kind)) +
-      " does not run a client fleet (fleet pipelines: future_rand | "
-      "independent | bun | adaptive | lgrr | lolh | loloha)");
+  return Status::InvalidArgument("unknown protocol kind");
 }
 
 Result<RunResult> RunProtocol(ProtocolKind kind,

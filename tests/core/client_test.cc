@@ -147,7 +147,7 @@ TEST(ClientTest, ContractViolationClampsInsteadOfBreakingPrivacy) {
 TEST(ClientTest, CGapMatchesRandomizer) {
   const ProtocolConfig config = TestConfig();
   Client client = Client::Create(config, 17).ValueOrDie();
-  EXPECT_DOUBLE_EQ(client.c_gap(), client.randomizer().c_gap());
+  EXPECT_DOUBLE_EQ(client.c_gap(), client.randomizer().params().c_gap);
 }
 
 TEST(ClientTest, DomainSizeOneClientReportsOnce) {

@@ -50,60 +50,84 @@ uint64_t ClientSeed(uint64_t base_seed, int64_t client_id) {
 class FleetKindTest : public ::testing::TestWithParam<rand::RandomizerKind> {
 };
 
+// Every user flips every period (st[t] = t mod 2, from st[0] = 0): each
+// level-0 client's partial sum is non-zero at every tick, so at k = 1 the
+// dyadic randomizers clamp every report after the first one.
+int8_t FlipEveryPeriodState(int64_t /*u*/, int64_t t, int64_t /*d*/) {
+  return static_cast<int8_t>(t % 2);
+}
+
 TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
-  const ProtocolConfig config = TestConfig(GetParam());
-  const int64_t n = 64;
-  const uint64_t base_seed = 1234;
+  struct Input {
+    const char* name;
+    int64_t k;
+    int8_t (*state)(int64_t u, int64_t t, int64_t d);
+  };
+  // The pattern stays inside the change budget; the flip-every-period
+  // input overruns it, so the fleet's clamp path is twinned too.
+  for (const Input& input : {Input{"within budget", 3, PatternState},
+                             Input{"over budget", 1, FlipEveryPeriodState}}) {
+    SCOPED_TRACE(input.name);
+    const ProtocolConfig config = TestConfig(GetParam(), 32, input.k);
+    const int64_t n = 64;
+    const uint64_t base_seed = 1234;
 
-  ClientFleet fleet =
-      ClientFleet::Create(config, n, base_seed).ValueOrDie();
-  std::vector<Client> clients;
-  for (int64_t u = 0; u < n; ++u) {
-    clients.push_back(
-        Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
-  }
-
-  ASSERT_EQ(fleet.size(), n);
-  for (int64_t u = 0; u < n; ++u) {
-    EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level()) << u;
-    EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
-              (RegistrationMessage{u, clients[static_cast<size_t>(u)]
-                                          .level()}));
-  }
-
-  std::vector<int8_t> states(static_cast<size_t>(n));
-  ReportBatch batch;
-  int64_t total_reports = 0;
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
+    ClientFleet fleet =
+        ClientFleet::Create(config, n, base_seed).ValueOrDie();
+    std::vector<Client> clients;
     for (int64_t u = 0; u < n; ++u) {
-      states[static_cast<size_t>(u)] = PatternState(u, t, config.num_periods);
+      clients.push_back(
+          Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
     }
-    ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
-    ReportBatch expected;
+    ASSERT_EQ(fleet.size(), n);
     for (int64_t u = 0; u < n; ++u) {
-      const std::optional<int8_t> report =
-          clients[static_cast<size_t>(u)]
-              .ObserveState(states[static_cast<size_t>(u)])
-              .ValueOrDie();
-      if (report.has_value()) {
-        expected.push_back(ReportMessage{u, t, *report});
+      EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level())
+          << u;
+      EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
+                (RegistrationMessage{u, clients[static_cast<size_t>(u)]
+                                            .level()}));
+    }
+
+    std::vector<int8_t> states(static_cast<size_t>(n));
+    ReportBatch batch;
+    int64_t total_reports = 0;
+    for (int64_t t = 1; t <= config.num_periods; ++t) {
+      for (int64_t u = 0; u < n; ++u) {
+        states[static_cast<size_t>(u)] =
+            input.state(u, t, config.num_periods);
       }
-    }
-    EXPECT_EQ(batch, expected) << "tick " << t;
-    total_reports += static_cast<int64_t>(batch.size());
-  }
-  EXPECT_EQ(fleet.current_time(), config.num_periods);
-  EXPECT_EQ(fleet.reports_emitted(), total_reports);
+      ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
-  int64_t expected_changes = 0;
-  int64_t expected_overflows = 0;
-  for (const Client& client : clients) {
-    expected_changes += client.changes_seen();
-    expected_overflows += client.support_overflow_count();
+      ReportBatch expected;
+      for (int64_t u = 0; u < n; ++u) {
+        const std::optional<int8_t> report =
+            clients[static_cast<size_t>(u)]
+                .ObserveState(states[static_cast<size_t>(u)])
+                .ValueOrDie();
+        if (report.has_value()) {
+          expected.push_back(ReportMessage{u, t, *report});
+        }
+      }
+      EXPECT_EQ(batch, expected) << "tick " << t;
+      total_reports += static_cast<int64_t>(batch.size());
+    }
+    EXPECT_EQ(fleet.current_time(), config.num_periods);
+    EXPECT_EQ(fleet.reports_emitted(), total_reports);
+
+    int64_t expected_changes = 0;
+    int64_t expected_overflows = 0;
+    for (const Client& client : clients) {
+      expected_changes += client.changes_seen();
+      expected_overflows += client.support_overflow_count();
+    }
+    EXPECT_EQ(fleet.changes_seen(), expected_changes);
+    EXPECT_EQ(fleet.support_overflow_count(), expected_overflows);
+    if (input.state == FlipEveryPeriodState &&
+        !rand::IsLongitudinalKind(GetParam())) {
+      EXPECT_GT(fleet.support_overflow_count(), 0);
+    }
   }
-  EXPECT_EQ(fleet.changes_seen(), expected_changes);
-  EXPECT_EQ(fleet.support_overflow_count(), expected_overflows);
 }
 
 TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
@@ -132,59 +156,82 @@ TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
 // stood before randomizer parameters became shared per level (when every
 // client still built its own spec and noise sampler); any change to the
 // seed derivation, the parameterization or the RNG consumption order
-// breaks them.
+// breaks them. The over-budget rows (every user flips every period at
+// k = 1, so the dyadic kinds take their clamp path) were recorded from the
+// fleet as it stood before the randomizer kinds became one concrete class.
 struct GoldenDigest {
   rand::RandomizerKind kind;
+  bool over_budget;  // FlipEveryPeriodState at k = 1, not the workload
   uint64_t reports;  // Fnv1a64 of every tick's EncodeReportBatch, in order
   uint64_t state;    // Fnv1a64 of the final EncodeLongitudinalState blob
 };
 
 constexpr GoldenDigest kGoldenDigests[] = {
-    {rand::RandomizerKind::kFutureRand, 0x2ffeb2885ac2da41, 0},
-    {rand::RandomizerKind::kIndependent, 0xcc285ca31e48a775, 0},
-    {rand::RandomizerKind::kBun, 0x8bd82641ed7f7e5a, 0},
+    {rand::RandomizerKind::kFutureRand, false, 0x2ffeb2885ac2da41, 0},
+    {rand::RandomizerKind::kIndependent, false, 0xcc285ca31e48a775, 0},
+    {rand::RandomizerKind::kBun, false, 0x8bd82641ed7f7e5a, 0},
     // At k = 2 Independent's exact gap is the larger, so kAdaptive's
     // reports are Independent's.
-    {rand::RandomizerKind::kAdaptive, 0xcc285ca31e48a775, 0},
-    {rand::RandomizerKind::kLGrr, 0x6d1542b212df43cd, 0x43abb653da5e5331},
-    {rand::RandomizerKind::kLOlh, 0xd8ad10e5d6eec36e, 0x243816b6d8814f74},
-    {rand::RandomizerKind::kLoloha, 0xbd4ad64e91032017, 0x8a7c357dbe1b26c7},
+    {rand::RandomizerKind::kAdaptive, false, 0xcc285ca31e48a775, 0},
+    {rand::RandomizerKind::kLGrr, false, 0x6d1542b212df43cd,
+     0x43abb653da5e5331},
+    {rand::RandomizerKind::kLOlh, false, 0xd8ad10e5d6eec36e,
+     0x243816b6d8814f74},
+    {rand::RandomizerKind::kLoloha, false, 0xbd4ad64e91032017,
+     0x8a7c357dbe1b26c7},
+    {rand::RandomizerKind::kFutureRand, true, 0xa4d8b15089f955be, 0},
+    {rand::RandomizerKind::kIndependent, true, 0x1769d485c0f51ac4, 0},
+    {rand::RandomizerKind::kBun, true, 0x66b9a33dc763aae7, 0},
+    {rand::RandomizerKind::kAdaptive, true, 0x1769d485c0f51ac4, 0},
+    {rand::RandomizerKind::kLGrr, true, 0xb1a8a99792269123,
+     0x4c1cc1be26270bd0},
+    {rand::RandomizerKind::kLOlh, true, 0x545d91e95a1a55cb,
+     0x2000e1916f32ad04},
+    {rand::RandomizerKind::kLoloha, true, 0xc788e86bdd001144,
+     0x9152e1adad44eb9e},
 };
 
 TEST_P(FleetKindTest, ReportBytesMatchRecordedGoldenDigests) {
   const rand::RandomizerKind kind = GetParam();
-  const ProtocolConfig config = TestConfig(kind, 16, 2);
   const int64_t n = 257;
-  sim::WorkloadConfig workload_config;
-  workload_config.kind = sim::WorkloadKind::kUniformChanges;
-  workload_config.num_users = n;
-  workload_config.num_periods = config.num_periods;
-  workload_config.max_changes = config.max_changes;
-  const sim::Workload workload =
-      sim::Workload::Generate(workload_config, 2024).ValueOrDie();
+  for (const bool over_budget : {false, true}) {
+    SCOPED_TRACE(over_budget ? "over budget" : "workload");
+    const ProtocolConfig config = TestConfig(kind, 16, over_budget ? 1 : 2);
+    sim::WorkloadConfig workload_config;
+    workload_config.kind = sim::WorkloadKind::kUniformChanges;
+    workload_config.num_users = n;
+    workload_config.num_periods = config.num_periods;
+    workload_config.max_changes = config.max_changes;
+    const sim::Workload workload =
+        sim::Workload::Generate(workload_config, 2024).ValueOrDie();
 
-  ClientFleet fleet = ClientFleet::Create(config, n, 99).ValueOrDie();
-  std::vector<int8_t> states(static_cast<size_t>(n));
-  ReportBatch batch;
-  std::string report_bytes;
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
+    ClientFleet fleet = ClientFleet::Create(config, n, 99).ValueOrDie();
+    std::vector<int8_t> states(static_cast<size_t>(n));
+    ReportBatch batch;
+    std::string report_bytes;
+    for (int64_t t = 1; t <= config.num_periods; ++t) {
+      for (int64_t u = 0; u < n; ++u) {
+        states[static_cast<size_t>(u)] =
+            over_budget ? FlipEveryPeriodState(u, t, config.num_periods)
+                        : workload.trace(u).StateAt(t);
+      }
+      ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+      report_bytes += EncodeReportBatch(batch).ValueOrDie();
     }
-    ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
-    report_bytes += EncodeReportBatch(batch).ValueOrDie();
-  }
 
-  const auto* golden = std::find_if(
-      std::begin(kGoldenDigests), std::end(kGoldenDigests),
-      [&](const GoldenDigest& entry) { return entry.kind == kind; });
-  ASSERT_NE(golden, std::end(kGoldenDigests));
-  EXPECT_EQ(wire_internal::Fnv1a64(report_bytes), golden->reports)
-      << std::hex << wire_internal::Fnv1a64(report_bytes);
-  if (rand::IsLongitudinalKind(kind)) {
-    const std::string state = fleet.EncodeLongitudinalState().ValueOrDie();
-    EXPECT_EQ(wire_internal::Fnv1a64(state), golden->state)
-        << std::hex << wire_internal::Fnv1a64(state);
+    const auto* golden = std::find_if(
+        std::begin(kGoldenDigests), std::end(kGoldenDigests),
+        [&](const GoldenDigest& entry) {
+          return entry.kind == kind && entry.over_budget == over_budget;
+        });
+    ASSERT_NE(golden, std::end(kGoldenDigests));
+    EXPECT_EQ(wire_internal::Fnv1a64(report_bytes), golden->reports)
+        << std::hex << wire_internal::Fnv1a64(report_bytes);
+    if (rand::IsLongitudinalKind(kind)) {
+      const std::string state = fleet.EncodeLongitudinalState().ValueOrDie();
+      EXPECT_EQ(wire_internal::Fnv1a64(state), golden->state)
+          << std::hex << wire_internal::Fnv1a64(state);
+    }
   }
 }
 

@@ -32,8 +32,8 @@ TEST(FactoryTest, CreatesEveryKind) {
   for (RandomizerKind kind : AllRandomizerKinds()) {
     auto randomizer = MakeSequenceRandomizer(kind, 16, 4, 1.0, 123);
     ASSERT_TRUE(randomizer.ok()) << RandomizerKindToString(kind);
-    EXPECT_EQ((*randomizer)->length(), 16);
-    const int8_t out = (*randomizer)->Randomize(1);
+    EXPECT_EQ(randomizer->params().length, 16);
+    const int8_t out = randomizer->Randomize(1);
     EXPECT_TRUE(out == 1 || out == -1);
   }
 }
@@ -50,7 +50,7 @@ TEST(FactoryTest, ExactCGapMatchesInstances) {
     const double exact = ExactCGap(kind, 32, 1.0).ValueOrDie();
     auto randomizer =
         MakeSequenceRandomizer(kind, 64, 32, 1.0, 9).ValueOrDie();
-    EXPECT_DOUBLE_EQ(randomizer->c_gap(), exact)
+    EXPECT_DOUBLE_EQ(randomizer.params().c_gap, exact)
         << RandomizerKindToString(kind);
   }
 }
@@ -67,19 +67,19 @@ TEST(FactoryTest, SharedParamsStampOutIndependentInstances) {
     EXPECT_EQ(std::bit_cast<uint64_t>(params->c_gap),
               std::bit_cast<uint64_t>(ExactCGap(kind, 4, 1.0).ValueOrDie()))
         << RandomizerKindToString(kind);
-    auto a = NewRandomizer(params, 5);
-    auto b = NewRandomizer(params, 6);
+    SequenceRandomizer a(params, 5);
+    SequenceRandomizer b(params, 6);
     auto twin_a = MakeSequenceRandomizer(kind, 16, 4, 1.0, 5).ValueOrDie();
     auto twin_b = MakeSequenceRandomizer(kind, 16, 4, 1.0, 6).ValueOrDie();
     for (int j = 0; j < 16; ++j) {
       const int8_t v =
           j % 4 != 0 ? int8_t{0} : (j % 8 == 0 ? int8_t{1} : int8_t{-1});
-      EXPECT_EQ(a->Randomize(v), twin_a->Randomize(v))
+      EXPECT_EQ(a.Randomize(v), twin_a.Randomize(v))
           << RandomizerKindToString(kind) << " j=" << j;
-      EXPECT_EQ(b->Randomize(v), twin_b->Randomize(v))
+      EXPECT_EQ(b.Randomize(v), twin_b.Randomize(v))
           << RandomizerKindToString(kind) << " j=" << j;
     }
-    EXPECT_EQ(a->name(), twin_a->name());
+    EXPECT_EQ(a.params().kind, twin_a.params().kind);
   }
 }
 

@@ -1,21 +1,20 @@
-#include "futurerand/randomizer/independent.h"
-
 #include <cmath>
-#include <memory>
 
 #include <gtest/gtest.h>
+
+#include "futurerand/randomizer/randomizer.h"
 
 namespace futurerand::rand {
 namespace {
 
-Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, int64_t k,
-                                                   double eps, uint64_t seed) {
+Result<SequenceRandomizer> Create(int64_t length, int64_t k, double eps,
+                                  uint64_t seed) {
   return MakeSequenceRandomizer(RandomizerKind::kIndependent, length, k, eps,
                                 seed);
 }
 
-std::unique_ptr<SequenceRandomizer> Make(int64_t length, int64_t k,
-                                         double eps, uint64_t seed) {
+SequenceRandomizer Make(int64_t length, int64_t k, double eps,
+                        uint64_t seed) {
   return Create(length, k, eps, seed).ValueOrDie();
 }
 
@@ -30,15 +29,15 @@ TEST(IndependentRandomizerTest, CGapMatchesExample42) {
   // Example 4.2: c_gap = (e^{eps/k}-1)/(e^{eps/k}+1).
   const auto randomizer = Make(16, 4, 1.0, 1);
   const double x = std::exp(0.25);
-  EXPECT_NEAR(randomizer->c_gap(), (x - 1.0) / (x + 1.0), 1e-12);
+  EXPECT_NEAR(randomizer.params().c_gap, (x - 1.0) / (x + 1.0), 1e-12);
 }
 
 TEST(IndependentRandomizerTest, NameAndAccessors) {
   const auto randomizer = Make(16, 4, 0.75, 1);
-  EXPECT_EQ(randomizer->name(), "independent");
-  EXPECT_EQ(randomizer->length(), 16);
-  EXPECT_EQ(randomizer->max_support(), 4);
-  EXPECT_DOUBLE_EQ(randomizer->epsilon(), 0.75);
+  EXPECT_STREQ(RandomizerKindToString(randomizer.params().kind), "independent");
+  EXPECT_EQ(randomizer.params().length, 16);
+  EXPECT_EQ(randomizer.params().max_support, 4);
+  EXPECT_DOUBLE_EQ(randomizer.params().epsilon, 0.75);
 }
 
 TEST(IndependentRandomizerTest, KeepRateMatchesTheoryOnNonZeros) {
@@ -47,7 +46,7 @@ TEST(IndependentRandomizerTest, KeepRateMatchesTheoryOnNonZeros) {
   int kept = 0;
   for (int t = 0; t < 1000; ++t) {
     auto fresh = Make(4, k, eps, 100 + static_cast<uint64_t>(t));
-    kept += fresh->Randomize(1) == 1 ? 1 : 0;
+    kept += fresh.Randomize(1) == 1 ? 1 : 0;
   }
   const double expected = std::exp(eps / 2.0) / (std::exp(eps / 2.0) + 1.0);
   EXPECT_NEAR(static_cast<double>(kept) / 1000.0, expected, 0.05);
@@ -57,32 +56,32 @@ TEST(IndependentRandomizerTest, ZeroInputsAreUniform) {
   auto randomizer = Make(100000, 4, 1.0, 6);
   int64_t sum = 0;
   for (int i = 0; i < 100000; ++i) {
-    sum += randomizer->Randomize(0);
+    sum += randomizer.Randomize(0);
   }
   EXPECT_LT(std::abs(sum), 1800);
 }
 
 TEST(IndependentRandomizerTest, OverBudgetClampsToUniform) {
   auto randomizer = Make(8, 2, 1.0, 7);
-  (void)randomizer->Randomize(1);
-  (void)randomizer->Randomize(1);
-  (void)randomizer->Randomize(1);
-  EXPECT_EQ(randomizer->support_used(), 2);
-  EXPECT_EQ(randomizer->support_overflow_count(), 1);
+  (void)randomizer.Randomize(1);
+  (void)randomizer.Randomize(1);
+  (void)randomizer.Randomize(1);
+  EXPECT_EQ(randomizer.support_used(), 2);
+  EXPECT_EQ(randomizer.support_overflow_count(), 1);
 }
 
 TEST(IndependentRandomizerTest, PositionAdvancesPerCall) {
   auto randomizer = Make(4, 2, 1.0, 8);
-  EXPECT_EQ(randomizer->position(), 0);
-  (void)randomizer->Randomize(0);
-  (void)randomizer->Randomize(1);
-  EXPECT_EQ(randomizer->position(), 2);
+  EXPECT_EQ(randomizer.position(), 0);
+  (void)randomizer.Randomize(0);
+  (void)randomizer.Randomize(1);
+  EXPECT_EQ(randomizer.position(), 2);
 }
 
 TEST(IndependentRandomizerTest, RejectsExcessInputs) {
   auto randomizer = Make(1, 1, 1.0, 9);
-  (void)randomizer->Randomize(0);
-  EXPECT_DEATH({ (void)randomizer->Randomize(0); }, "more inputs");
+  (void)randomizer.Randomize(0);
+  EXPECT_DEATH({ (void)randomizer.Randomize(0); }, "more inputs");
 }
 
 }  // namespace

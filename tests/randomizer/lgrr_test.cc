@@ -1,8 +1,9 @@
 // L-GRR memoization-correctness suite: the permanent first round is sampled
 // exactly once per true value and reused for every subsequent report, the
 // derived second round spends exactly the eps_1 = alpha * eps_perm budget,
-// and the memoized state round-trips bit-identically through ImportState
-// and the FRW kind-9 fleet snapshot (EncodeLongitudinalState).
+// and the memoized state round-trips bit-identically through
+// RestoreLongitudinalState and the FRW kind-9 fleet snapshot
+// (EncodeLongitudinalState).
 
 #include "futurerand/randomizer/longitudinal.h"
 
@@ -21,18 +22,15 @@ namespace {
 
 constexpr RandomizerKind kKind = RandomizerKind::kLGrr;
 
-Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, double eps,
-                                                   double alpha,
-                                                   uint64_t seed) {
+Result<SequenceRandomizer> Create(int64_t length, double eps, double alpha,
+                                  uint64_t seed) {
   // Longitudinal kinds ignore max_support; 1 is a placeholder.
   return MakeSequenceRandomizer(kKind, length, 1, eps, seed, alpha);
 }
 
-std::unique_ptr<LongitudinalRandomizer> Make(int64_t length, double eps,
-                                             double alpha, uint64_t seed) {
-  return std::unique_ptr<LongitudinalRandomizer>(
-      static_cast<LongitudinalRandomizer*>(
-          Create(length, eps, alpha, seed).ValueOrDie().release()));
+SequenceRandomizer Make(int64_t length, double eps, double alpha,
+                        uint64_t seed) {
+  return Create(length, eps, alpha, seed).ValueOrDie();
 }
 
 TEST(LGrrTest, RejectsInvalidParameters) {
@@ -69,30 +67,30 @@ TEST(LGrrTest, FirstRoundSampledOnceAndReusedAllTicks) {
   const int64_t kTicks = 40;
   auto randomizer = Make(kTicks, 1.0, 0.5, 11);
   // Move to state 1; the first report memoizes value 1.
-  (void)randomizer->Randomize(int8_t{1});
-  const auto after_first = randomizer->ExportState();
+  (void)randomizer.Randomize(int8_t{1});
+  const auto after_first = randomizer.longitudinal_state();
   ASSERT_GE(after_first.memo[1], 0);
   ASSERT_LT(after_first.memo[1], 2);
   EXPECT_EQ(after_first.memo[0], -1) << "state 0 was never reported";
   // Every further tick at the same value must reuse the memo verbatim.
   for (int64_t t = 1; t < kTicks; ++t) {
-    (void)randomizer->Randomize(int8_t{0});
-    EXPECT_EQ(randomizer->ExportState().memo[1], after_first.memo[1])
+    (void)randomizer.Randomize(int8_t{0});
+    EXPECT_EQ(randomizer.longitudinal_state().memo[1], after_first.memo[1])
         << "memo resampled at tick " << t;
-    EXPECT_EQ(randomizer->ExportState().memo[0], -1);
+    EXPECT_EQ(randomizer.longitudinal_state().memo[0], -1);
   }
 }
 
 TEST(LGrrTest, EachValueMemoizedOnFirstVisitThenFrozen) {
   auto randomizer = Make(64, 1.0, 0.5, 12);
-  (void)randomizer->Randomize(int8_t{1});   // state 1 -> memo[1]
-  (void)randomizer->Randomize(int8_t{-1});  // state 0 -> memo[0]
-  const auto snapshot = randomizer->ExportState();
+  (void)randomizer.Randomize(int8_t{1});   // state 1 -> memo[1]
+  (void)randomizer.Randomize(int8_t{-1});  // state 0 -> memo[0]
+  const auto snapshot = randomizer.longitudinal_state();
   ASSERT_GE(snapshot.memo[0], 0);
   ASSERT_GE(snapshot.memo[1], 0);
   for (int64_t t = 0; t < 30; ++t) {
-    (void)randomizer->Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
-    const auto current = randomizer->ExportState();
+    (void)randomizer.Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
+    const auto current = randomizer.longitudinal_state();
     EXPECT_EQ(current.memo[0], snapshot.memo[0]);
     EXPECT_EQ(current.memo[1], snapshot.memo[1]);
   }
@@ -103,11 +101,11 @@ TEST(LGrrTest, SecondRoundDrawsFreshNoiseOverTheFrozenMemo) {
   // enough ticks — a degenerate always-memo output would mean the fresh
   // round is not running (an eps_1 = 0 privacy bug, not a utility win).
   auto randomizer = Make(400, 1.0, 0.5, 13);
-  (void)randomizer->Randomize(int8_t{1});
+  (void)randomizer.Randomize(int8_t{1});
   bool seen_plus = false;
   bool seen_minus = false;
   for (int64_t t = 1; t < 400; ++t) {
-    const int8_t report = randomizer->Randomize(int8_t{0});
+    const int8_t report = randomizer.Randomize(int8_t{0});
     seen_plus = seen_plus || report == 1;
     seen_minus = seen_minus || report == -1;
   }
@@ -121,7 +119,7 @@ TEST(LGrrTest, DeterministicForSameSeed) {
     const auto derivative = static_cast<int8_t>(t % 8 == 0   ? 1
                                                 : t % 8 == 4 ? -1
                                                              : 0);
-    EXPECT_EQ(a->Randomize(derivative), b->Randomize(derivative));
+    EXPECT_EQ(a.Randomize(derivative), b.Randomize(derivative));
   }
 }
 
@@ -136,9 +134,9 @@ TEST(LGrrTest, EmpiricalReportMeansMatchU1AndU0) {
   double sum0 = 0.0;
   for (int64_t c = 0; c < kClients; ++c) {
     sum1 += Make(1, 1.0, 0.5, 1000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{1});
+                .Randomize(int8_t{1});
     sum0 += Make(1, 1.0, 0.5, 900000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{0});
+                .Randomize(int8_t{0});
   }
   EXPECT_NEAR(sum1 / kClients, spec.u1, 0.05);
   EXPECT_NEAR(sum0 / kClients, spec.u0, 0.05);
@@ -147,49 +145,55 @@ TEST(LGrrTest, EmpiricalReportMeansMatchU1AndU0) {
 TEST(LGrrTest, ImportStateRoundTripsBitIdentically) {
   auto original = Make(64, 1.0, 0.5, 21);
   for (const int8_t derivative : {1, 0, -1, 0, 1, 0, 0, 0, -1, 1}) {
-    (void)original->Randomize(derivative);
+    (void)original.Randomize(derivative);
   }
-  // A twin with a DIFFERENT creation seed: ImportState must replace every
+  // A twin with a DIFFERENT creation seed: the restore must replace every
   // bit of mutable state, leaving nothing of the twin's own chain behind.
   auto restored = Make(64, 1.0, 0.5, 99999);
-  ASSERT_TRUE(restored->ImportState(original->ExportState()).ok());
+  ASSERT_TRUE(restored
+                  .RestoreLongitudinalState(original.longitudinal_state(),
+                                            original.position(),
+                                            original.support_used())
+                  .ok());
   for (int64_t t = 0; t < 40; ++t) {
     // The warm-up left both twins at state 1, so dip to 0 first.
     const auto derivative = static_cast<int8_t>(t % 10 == 3   ? -1
                                                 : t % 10 == 7 ? 1
                                                               : 0);
-    EXPECT_EQ(restored->Randomize(derivative),
-              original->Randomize(derivative))
+    EXPECT_EQ(restored.Randomize(derivative),
+              original.Randomize(derivative))
         << "divergence at tick " << t;
   }
 }
 
 TEST(LGrrTest, ImportRejectsForgedState) {
   auto randomizer = Make(16, 1.0, 0.5, 31);
-  const auto valid = randomizer->ExportState();
+  const auto valid = randomizer.longitudinal_state();
+  // Restores `state` at (position, changes), the fresh instance's (0, 0)
+  // unless overridden.
+  auto restore = [&](const SequenceRandomizer::LongitudinalState& state,
+                     int64_t position = 0, int64_t changes = 0) {
+    return randomizer.RestoreLongitudinalState(state, position, changes);
+  };
+
+  EXPECT_FALSE(restore(valid, /*position=*/17).ok());  // > length
 
   auto state = valid;
-  state.position = 17;  // > length
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
-
-  state = valid;
   state.tracked_state = 2;
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(restore(state).ok());
 
-  state = valid;
-  state.changes = 1;  // > position = 0
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(restore(valid, 0, /*changes=*/1).ok());  // > position = 0
 
   state = valid;
   state.memo[1] = 2;  // >= g
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(restore(state).ok());
 
   state = valid;
   state.hash_seed[0] = 7;  // pure GRR never draws hash seeds
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(restore(state).ok());
 
   // The failed imports above must not have perturbed the randomizer.
-  EXPECT_TRUE(randomizer->ImportState(valid).ok());
+  EXPECT_TRUE(restore(valid).ok());
 }
 
 // ---------------------------------------------------------------------------

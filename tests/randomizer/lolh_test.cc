@@ -19,18 +19,15 @@ namespace {
 
 constexpr RandomizerKind kKind = RandomizerKind::kLOlh;
 
-Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, double eps,
-                                                   double alpha,
-                                                   uint64_t seed) {
+Result<SequenceRandomizer> Create(int64_t length, double eps, double alpha,
+                                  uint64_t seed) {
   // Longitudinal kinds ignore max_support; 1 is a placeholder.
   return MakeSequenceRandomizer(kKind, length, 1, eps, seed, alpha);
 }
 
-std::unique_ptr<LongitudinalRandomizer> Make(int64_t length, double eps,
-                                             double alpha, uint64_t seed) {
-  return std::unique_ptr<LongitudinalRandomizer>(
-      static_cast<LongitudinalRandomizer*>(
-          Create(length, eps, alpha, seed).ValueOrDie().release()));
+SequenceRandomizer Make(int64_t length, double eps, double alpha,
+                        uint64_t seed) {
+  return Create(length, eps, alpha, seed).ValueOrDie();
 }
 
 TEST(LOlhTest, UsesTheOptimalGParameterization) {
@@ -62,7 +59,7 @@ TEST(LOlhTest, SpecSpendsExactlyTheTwoBudgets) {
 
 TEST(LOlhTest, HashSeedDrawnLazilyAlongsideTheMemo) {
   auto randomizer = Make(32, 1.0, 0.5, 7);
-  const auto fresh = randomizer->ExportState();
+  const auto fresh = randomizer.longitudinal_state();
   EXPECT_EQ(fresh.hash_seed[0], 0u);
   EXPECT_EQ(fresh.hash_seed[1], 0u);
   EXPECT_EQ(fresh.memo[0], -1);
@@ -70,23 +67,23 @@ TEST(LOlhTest, HashSeedDrawnLazilyAlongsideTheMemo) {
 
   // First report is of state 1: seed+memo for value 1 appear together,
   // value 0 stays unset.
-  (void)randomizer->Randomize(int8_t{1});
-  const auto after_one = randomizer->ExportState();
+  (void)randomizer.Randomize(int8_t{1});
+  const auto after_one = randomizer.longitudinal_state();
   EXPECT_NE(after_one.hash_seed[1], 0u);
   EXPECT_GE(after_one.memo[1], 0);
   EXPECT_EQ(after_one.hash_seed[0], 0u);
   EXPECT_EQ(after_one.memo[0], -1);
 
   // Back to state 0: now the other pair is drawn; both pairs then freeze.
-  (void)randomizer->Randomize(int8_t{-1});
-  const auto after_zero = randomizer->ExportState();
+  (void)randomizer.Randomize(int8_t{-1});
+  const auto after_zero = randomizer.longitudinal_state();
   EXPECT_NE(after_zero.hash_seed[0], 0u);
   EXPECT_GE(after_zero.memo[0], 0);
   EXPECT_EQ(after_zero.hash_seed[1], after_one.hash_seed[1]);
   EXPECT_EQ(after_zero.memo[1], after_one.memo[1]);
   for (int64_t t = 0; t < 30; ++t) {
-    (void)randomizer->Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
-    const auto current = randomizer->ExportState();
+    (void)randomizer.Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
+    const auto current = randomizer.longitudinal_state();
     EXPECT_EQ(current.hash_seed[0], after_zero.hash_seed[0]);
     EXPECT_EQ(current.hash_seed[1], after_zero.hash_seed[1]);
     EXPECT_EQ(current.memo[0], after_zero.memo[0]);
@@ -99,9 +96,9 @@ TEST(LOlhTest, MemoValueStaysInsideTheHashDomain) {
       MakeLongitudinalSpec(kKind, 1.0, 0.5).ValueOrDie();
   for (uint64_t seed = 0; seed < 50; ++seed) {
     auto randomizer = Make(4, 1.0, 0.5, seed);
-    (void)randomizer->Randomize(int8_t{1});
-    (void)randomizer->Randomize(int8_t{-1});
-    const auto state = randomizer->ExportState();
+    (void)randomizer.Randomize(int8_t{1});
+    (void)randomizer.Randomize(int8_t{-1});
+    const auto state = randomizer.longitudinal_state();
     for (int v = 0; v < 2; ++v) {
       EXPECT_GE(state.memo[v], 0);
       EXPECT_LT(state.memo[v], static_cast<int32_t>(spec.g));
@@ -111,11 +108,11 @@ TEST(LOlhTest, MemoValueStaysInsideTheHashDomain) {
 
 TEST(LOlhTest, SecondRoundDrawsFreshNoiseOverTheFrozenMemo) {
   auto randomizer = Make(400, 1.0, 0.5, 13);
-  (void)randomizer->Randomize(int8_t{1});
+  (void)randomizer.Randomize(int8_t{1});
   bool seen_plus = false;
   bool seen_minus = false;
   for (int64_t t = 1; t < 400; ++t) {
-    const int8_t report = randomizer->Randomize(int8_t{0});
+    const int8_t report = randomizer.Randomize(int8_t{0});
     seen_plus = seen_plus || report == 1;
     seen_minus = seen_minus || report == -1;
   }
@@ -130,9 +127,9 @@ TEST(LOlhTest, EmpiricalReportMeansMatchU1AndU0) {
   double sum0 = 0.0;
   for (int64_t c = 0; c < kClients; ++c) {
     sum1 += Make(1, 1.0, 0.5, 1000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{1});
+                .Randomize(int8_t{1});
     sum0 += Make(1, 1.0, 0.5, 900000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{0});
+                .Randomize(int8_t{0});
   }
   EXPECT_NEAR(sum1 / kClients, spec.u1, 0.05);
   EXPECT_NEAR(sum0 / kClients, spec.u0, 0.05);
@@ -141,17 +138,21 @@ TEST(LOlhTest, EmpiricalReportMeansMatchU1AndU0) {
 TEST(LOlhTest, ImportStateRoundTripsBitIdentically) {
   auto original = Make(64, 1.0, 0.5, 21);
   for (const int8_t derivative : {1, 0, -1, 0, 1, 0, 0, 0, -1, 1}) {
-    (void)original->Randomize(derivative);
+    (void)original.Randomize(derivative);
   }
   auto restored = Make(64, 1.0, 0.5, 55555);
-  ASSERT_TRUE(restored->ImportState(original->ExportState()).ok());
+  ASSERT_TRUE(restored
+                  .RestoreLongitudinalState(original.longitudinal_state(),
+                                            original.position(),
+                                            original.support_used())
+                  .ok());
   for (int64_t t = 0; t < 40; ++t) {
     // The warm-up left both twins at state 1, so dip to 0 first.
     const auto derivative = static_cast<int8_t>(t % 10 == 3   ? -1
                                                 : t % 10 == 7 ? 1
                                                               : 0);
-    EXPECT_EQ(restored->Randomize(derivative),
-              original->Randomize(derivative))
+    EXPECT_EQ(restored.Randomize(derivative),
+              original.Randomize(derivative))
         << "divergence at tick " << t;
   }
 }
@@ -160,9 +161,9 @@ TEST(LOlhTest, ImportRejectsSeedWithoutMemo) {
   // The seed and the memo are drawn in one step; a blob with a seed for an
   // unset memo cannot have come from this implementation.
   auto randomizer = Make(16, 1.0, 0.5, 31);
-  auto state = randomizer->ExportState();
+  auto state = randomizer.longitudinal_state();
   state.hash_seed[1] = 12345;  // memo[1] is still -1
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(randomizer.RestoreLongitudinalState(state, 0, 0).ok());
 }
 
 TEST(LOlhTest, FactoryAndCGapAgreeWithTheSpec) {
@@ -170,11 +171,11 @@ TEST(LOlhTest, FactoryAndCGapAgreeWithTheSpec) {
       MakeSequenceRandomizer(kKind, 16, 4, 1.0, 3, 0.5).ValueOrDie();
   const LongitudinalSpec spec =
       MakeLongitudinalSpec(kKind, 1.0, 0.5).ValueOrDie();
-  EXPECT_DOUBLE_EQ(randomizer->c_gap(), spec.gap());
+  EXPECT_DOUBLE_EQ(randomizer.params().c_gap, spec.gap());
   EXPECT_DOUBLE_EQ(ExactCGap(kKind, 4, 1.0, 0.5).ValueOrDie(), spec.gap());
-  EXPECT_EQ(randomizer->name(), "lolh");
+  EXPECT_STREQ(RandomizerKindToString(randomizer.params().kind), "lolh");
   // A longitudinal client reports every tick: max_support == length.
-  EXPECT_EQ(randomizer->max_support(), 16);
+  EXPECT_EQ(randomizer.params().max_support, 16);
 }
 
 }  // namespace

@@ -22,41 +22,38 @@ namespace {
 
 constexpr RandomizerKind kKind = RandomizerKind::kLoloha;
 
-Result<std::unique_ptr<SequenceRandomizer>> Create(int64_t length, double eps,
-                                                   double alpha,
-                                                   uint64_t seed) {
+Result<SequenceRandomizer> Create(int64_t length, double eps, double alpha,
+                                  uint64_t seed) {
   // Longitudinal kinds ignore max_support; 1 is a placeholder.
   return MakeSequenceRandomizer(kKind, length, 1, eps, seed, alpha);
 }
 
-std::unique_ptr<LongitudinalRandomizer> Make(int64_t length, double eps,
-                                             double alpha, uint64_t seed) {
-  return std::unique_ptr<LongitudinalRandomizer>(
-      static_cast<LongitudinalRandomizer*>(
-          Create(length, eps, alpha, seed).ValueOrDie().release()));
+SequenceRandomizer Make(int64_t length, double eps, double alpha,
+                        uint64_t seed) {
+  return Create(length, eps, alpha, seed).ValueOrDie();
 }
 
 TEST(LolohaTest, PermanentSeedDrawnAtCreationAndShared) {
   auto randomizer = Make(32, 1.0, 0.5, 7);
-  const auto fresh = randomizer->ExportState();
+  const auto fresh = randomizer.longitudinal_state();
   EXPECT_NE(fresh.hash_seed[0], 0u);
   EXPECT_EQ(fresh.hash_seed[0], fresh.hash_seed[1]);
   EXPECT_EQ(fresh.memo[0], -1);
   EXPECT_EQ(fresh.memo[1], -1);
 
   // Reports memoize values but never touch the shared seed.
-  (void)randomizer->Randomize(int8_t{1});
-  (void)randomizer->Randomize(int8_t{-1});
+  (void)randomizer.Randomize(int8_t{1});
+  (void)randomizer.Randomize(int8_t{-1});
   for (int64_t t = 0; t < 30; ++t) {
-    (void)randomizer->Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
-    const auto current = randomizer->ExportState();
+    (void)randomizer.Randomize(t % 2 == 0 ? int8_t{1} : int8_t{-1});
+    const auto current = randomizer.longitudinal_state();
     EXPECT_EQ(current.hash_seed[0], fresh.hash_seed[0]);
     EXPECT_EQ(current.hash_seed[1], fresh.hash_seed[0]);
   }
 
   // Different creation seeds give different permanent seeds (the hash
   // family member is genuinely per-client).
-  EXPECT_NE(Make(32, 1.0, 0.5, 8)->ExportState().hash_seed[0],
+  EXPECT_NE(Make(32, 1.0, 0.5, 8).longitudinal_state().hash_seed[0],
             fresh.hash_seed[0]);
 }
 
@@ -80,24 +77,24 @@ TEST(LolohaTest, SpecUsesOptimalGAndAlphaParameterization) {
 TEST(LolohaTest, FirstRoundSampledOnceAndReusedAllTicks) {
   const int64_t kTicks = 40;
   auto randomizer = Make(kTicks, 1.0, 0.5, 11);
-  (void)randomizer->Randomize(int8_t{1});
-  const auto after_first = randomizer->ExportState();
+  (void)randomizer.Randomize(int8_t{1});
+  const auto after_first = randomizer.longitudinal_state();
   ASSERT_GE(after_first.memo[1], 0);
   EXPECT_EQ(after_first.memo[0], -1);
   for (int64_t t = 1; t < kTicks; ++t) {
-    (void)randomizer->Randomize(int8_t{0});
-    EXPECT_EQ(randomizer->ExportState().memo[1], after_first.memo[1])
+    (void)randomizer.Randomize(int8_t{0});
+    EXPECT_EQ(randomizer.longitudinal_state().memo[1], after_first.memo[1])
         << "memo resampled at tick " << t;
   }
 }
 
 TEST(LolohaTest, SecondRoundDrawsFreshNoiseOverTheFrozenMemo) {
   auto randomizer = Make(400, 1.0, 0.5, 13);
-  (void)randomizer->Randomize(int8_t{1});
+  (void)randomizer.Randomize(int8_t{1});
   bool seen_plus = false;
   bool seen_minus = false;
   for (int64_t t = 1; t < 400; ++t) {
-    const int8_t report = randomizer->Randomize(int8_t{0});
+    const int8_t report = randomizer.Randomize(int8_t{0});
     seen_plus = seen_plus || report == 1;
     seen_minus = seen_minus || report == -1;
   }
@@ -112,9 +109,9 @@ TEST(LolohaTest, EmpiricalReportMeansMatchU1AndU0) {
   double sum0 = 0.0;
   for (int64_t c = 0; c < kClients; ++c) {
     sum1 += Make(1, 1.0, 0.5, 1000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{1});
+                .Randomize(int8_t{1});
     sum0 += Make(1, 1.0, 0.5, 900000 + static_cast<uint64_t>(c))
-                ->Randomize(int8_t{0});
+                .Randomize(int8_t{0});
   }
   EXPECT_NEAR(sum1 / kClients, spec.u1, 0.05);
   EXPECT_NEAR(sum0 / kClients, spec.u0, 0.05);
@@ -123,26 +120,30 @@ TEST(LolohaTest, EmpiricalReportMeansMatchU1AndU0) {
 TEST(LolohaTest, ImportStateRoundTripsBitIdentically) {
   auto original = Make(64, 1.0, 0.5, 21);
   for (const int8_t derivative : {1, 0, -1, 0, 1, 0, 0, 0, -1, 1}) {
-    (void)original->Randomize(derivative);
+    (void)original.Randomize(derivative);
   }
   auto restored = Make(64, 1.0, 0.5, 123456);
-  ASSERT_TRUE(restored->ImportState(original->ExportState()).ok());
+  ASSERT_TRUE(restored
+                  .RestoreLongitudinalState(original.longitudinal_state(),
+                                            original.position(),
+                                            original.support_used())
+                  .ok());
   for (int64_t t = 0; t < 40; ++t) {
     // The warm-up left both twins at state 1, so dip to 0 first.
     const auto derivative = static_cast<int8_t>(t % 10 == 3   ? -1
                                                 : t % 10 == 7 ? 1
                                                               : 0);
-    EXPECT_EQ(restored->Randomize(derivative),
-              original->Randomize(derivative))
+    EXPECT_EQ(restored.Randomize(derivative),
+              original.Randomize(derivative))
         << "divergence at tick " << t;
   }
 }
 
 TEST(LolohaTest, ImportRejectsMismatchedSeeds) {
   auto randomizer = Make(16, 1.0, 0.5, 31);
-  auto state = randomizer->ExportState();
+  auto state = randomizer.longitudinal_state();
   state.hash_seed[1] = state.hash_seed[0] + 1;
-  EXPECT_FALSE(randomizer->ImportState(state).ok());
+  EXPECT_FALSE(randomizer.RestoreLongitudinalState(state, 0, 0).ok());
 }
 
 // The shared-seed invariant must hold through the FRW kind-9 fleet codec

@@ -40,6 +40,23 @@ TEST(RunnerTest, ProtocolKindNames) {
                "non_private");
 }
 
+TEST(RunnerTest, FleetProtocolNamesParseAsRandomizerKinds) {
+  // frload's --protocol and frserve's --randomizer take the same word.
+  int fleet_kinds = 0;
+  for (const ProtocolKind kind : AllProtocolKinds()) {
+    const Result<rand::RandomizerKind> randomizer = RandomizerFor(kind);
+    if (!randomizer.ok()) {
+      continue;
+    }
+    ++fleet_kinds;
+    const Result<rand::RandomizerKind> parsed =
+        rand::ParseRandomizerKind(ProtocolKindToString(kind));
+    ASSERT_TRUE(parsed.ok()) << ProtocolKindToString(kind);
+    EXPECT_EQ(*parsed, *randomizer) << ProtocolKindToString(kind);
+  }
+  EXPECT_EQ(fleet_kinds, 7);
+}
+
 TEST(RunnerTest, RejectsMismatchedDomains) {
   const Workload workload =
       Workload::Generate(TestWorkload(100, 16, 2), 1).ValueOrDie();

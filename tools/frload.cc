@@ -63,6 +63,7 @@ int Run(int argc, char** argv) {
   int64_t d = 32;
   int64_t k = 2;
   double eps = 1.0;
+  double alpha = 0.5;
   int64_t seed = 2;
   int64_t workload_seed = 1;
   int64_t threads = ThreadPool::DefaultThreadCount();
@@ -89,6 +90,9 @@ int Run(int argc, char** argv) {
   parser.AddInt64("d", &d, "time periods (power of two; must match frserve)");
   parser.AddInt64("k", &k, "per-user change budget (must match frserve)");
   parser.AddDouble("eps", &eps, "privacy budget (must match frserve)");
+  parser.AddDouble("alpha", &alpha,
+                   "longitudinal eps_1/eps_perm split in (0, 1); only the "
+                   "lgrr | lolh | loloha randomizers read it");
   parser.AddInt64("seed", &seed, "protocol seed (fleet + channel)");
   parser.AddInt64("workload-seed", &workload_seed, "workload seed");
   parser.AddInt64("threads", &threads,
@@ -152,6 +156,7 @@ int Run(int argc, char** argv) {
   config.num_periods = d;
   config.max_changes = k;
   config.epsilon = eps;
+  config.longitudinal_alpha = alpha;
   config.randomizer = *randomizer;
 
   // The same FaultOptions the in-process verify run gets; validated here
