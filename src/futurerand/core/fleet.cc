@@ -9,7 +9,6 @@
 
 #include "futurerand/common/macros.h"
 #include "futurerand/common/random.h"
-#include "futurerand/common/simd.h"
 
 namespace futurerand::core {
 
@@ -118,7 +117,13 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   if (time_ >= config_.num_periods) {
     return Status::OutOfRange("all d time periods already ingested");
   }
-  if (!simd::AllZeroOrOne(states.data(), states.size())) {
+  // Branch-free OR-reduction (it vectorizes): a byte outside {0,1} has a
+  // bit set above bit 0.
+  uint8_t bad = 0;
+  for (const int8_t state : states) {
+    bad |= static_cast<uint8_t>(state) & uint8_t{0xFE};
+  }
+  if (bad != 0) {
     return Status::InvalidArgument("state must be 0 or 1");
   }
   TickValidated(states, batch);
@@ -142,27 +147,27 @@ Status ClientFleet::AdvanceTickDerivatives(
   }
   // Validate the whole tick read-only; scratch is written only after the
   // tick is known good, so a failed call leaves the fleet byte-identical.
-  if (!simd::ValidDerivativeStep(current_states_.data(), derivatives.data(),
-                                 derivatives.size())) {
-    // Rare path: re-scan serially for the first offending element so the
-    // error message matches the per-element checks exactly.
-    for (size_t i = 0; i < derivatives.size(); ++i) {
-      const int8_t derivative = derivatives[i];
-      if (derivative != -1 && derivative != 0 && derivative != 1) {
-        return Status::InvalidArgument("derivative must be in {-1,0,+1}");
-      }
-      const auto next_state =
-          static_cast<int8_t>(current_states_[i] + derivative);
-      if (next_state != 0 && next_state != 1) {
-        return Status::InvalidArgument(
-            "derivative would move the Boolean state outside {0,1}");
-      }
+  const size_t n = derivatives.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int8_t derivative = derivatives[i];
+    if (derivative != -1 && derivative != 0 && derivative != 1) {
+      return Status::InvalidArgument("derivative must be in {-1,0,+1}");
     }
-    FR_CHECK_MSG(false, "vector and scalar derivative validation disagree");
+    const auto next_state =
+        static_cast<int8_t>(current_states_[i] + derivative);
+    if (next_state != 0 && next_state != 1) {
+      return Status::InvalidArgument(
+          "derivative would move the Boolean state outside {0,1}");
+    }
   }
-  state_scratch_.resize(derivatives.size());
-  simd::AddI8(current_states_.data(), derivatives.data(),
-              state_scratch_.data(), derivatives.size());
+  // Raw pointers: an int8_t store may alias any object, the vectors' own
+  // data pointers included, and that would keep the loop from vectorizing.
+  state_scratch_.resize(n);
+  int8_t* next = state_scratch_.data();
+  const int8_t* current = current_states_.data();
+  for (size_t i = 0; i < n; ++i) {
+    next[i] = static_cast<int8_t>(current[i] + derivatives[i]);
+  }
   TickValidated(state_scratch_, batch);
   return Status::OK();
 }
@@ -195,9 +200,13 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
     return;
   }
 
-  // Fleet-wide change detection and state refresh as whole-column kernels.
-  changes_total_ +=
-      simd::CountMismatches(states.data(), current_states_.data(), n);
+  // Fleet-wide change detection and state refresh. The count fits 32 bits
+  // (Create bounds n by 2^31 - 1), which keeps the loop vectorizable.
+  int32_t changes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    changes += states[i] != current_states_[i] ? 1 : 0;
+  }
+  changes_total_ += changes;
   std::memcpy(current_states_.data(), states.data(), n);
 
   // The reporting cohort depends only on countr_zero(t) (clamped: every
@@ -208,50 +217,27 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
   const std::vector<int32_t>& cohort = cohort_by_tz_[z];
   batch->resize(cohort.size());
 
-  if (cohort.size() == n) {
-    // Everyone reports (t a multiple of the deepest interval): telescoping
-    // (Observation 3.7: the partial sum is st[t] - st[t - 2^h]) and the
-    // boundary refresh are contiguous column ops.
-    partial_scratch_.resize(n);
-    simd::SubI8(current_states_.data(), boundary_states_.data(),
-                partial_scratch_.data(), n);
-    std::memcpy(boundary_states_.data(), current_states_.data(), n);
-    auto randomize_range = [&](int64_t begin, int64_t end) {
-      for (int64_t u = begin; u < end; ++u) {
-        const auto i = static_cast<size_t>(u);
-        (*batch)[i] = ReportMessage{
-            first_client_id_ + u, t,
-            randomizer(i).Randomize(partial_scratch_[i])};
-      }
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(static_cast<int64_t>(n), randomize_range);
-    } else {
-      randomize_range(0, static_cast<int64_t>(n));
+  // Gather per member, telescoping its partial sum (Observation 3.7: the
+  // partial sum is st[t] - st[t - 2^h]). Each member touches only its own
+  // slots (cohort positions are distinct), so the loop parallelizes with
+  // no synchronization and stays bit-identical to the serial order.
+  auto randomize_range = [&](int64_t begin, int64_t end) {
+    for (int64_t j = begin; j < end; ++j) {
+      const auto i = static_cast<size_t>(cohort[static_cast<size_t>(j)]);
+      const int8_t state = current_states_[i];
+      const auto partial_sum =
+          static_cast<int8_t>(state - boundary_states_[i]);
+      boundary_states_[i] = state;
+      (*batch)[static_cast<size_t>(j)] = ReportMessage{
+          first_client_id_ + static_cast<int64_t>(i), t,
+          randomizer(i).Randomize(partial_sum)};
     }
+  };
+  const auto cohort_size = static_cast<int64_t>(cohort.size());
+  if (pool_ != nullptr && cohort_size > 1) {
+    pool_->ParallelFor(cohort_size, randomize_range);
   } else {
-    // Sparse cohort: gather per member. Each member touches only its own
-    // slots (cohort positions are distinct), so the loop parallelizes with
-    // no synchronization and stays bit-identical to the serial order.
-    auto randomize_range = [&](int64_t begin, int64_t end) {
-      for (int64_t j = begin; j < end; ++j) {
-        const auto i =
-            static_cast<size_t>(cohort[static_cast<size_t>(j)]);
-        const int8_t state = current_states_[i];
-        const auto partial_sum =
-            static_cast<int8_t>(state - boundary_states_[i]);
-        boundary_states_[i] = state;
-        (*batch)[static_cast<size_t>(j)] = ReportMessage{
-            first_client_id_ + static_cast<int64_t>(i), t,
-            randomizer(i).Randomize(partial_sum)};
-      }
-    };
-    const auto cohort_size = static_cast<int64_t>(cohort.size());
-    if (pool_ != nullptr && cohort_size > 1) {
-      pool_->ParallelFor(cohort_size, randomize_range);
-    } else {
-      randomize_range(0, cohort_size);
-    }
+    randomize_range(0, cohort_size);
   }
   reports_emitted_ += static_cast<int64_t>(batch->size());
 }

@@ -5,11 +5,15 @@
 // but stored structure-of-arrays — levels and boundary states live in
 // parallel vectors, and each client's rand::SequenceRandomizer is held by
 // value in a column beside them — so one AdvanceTick call replaces N
-// ObserveState calls, parallelizes over a ThreadPool, and emits a packed
-// ReportBatch ready for wire encoding. Client u's randomness derives from
-// Rng(base_seed).Fork(client_id) exactly like the per-client path, so a
-// fleet is bit-identical to a loop of Client::ObserveState calls with the
-// same seeds (pinned by tests/core/fleet_test.cc).
+// ObserveState calls and emits a packed ReportBatch ready for wire
+// encoding. A tick validates the state column, counts changes and copies
+// it in with plain whole-column loops, then walks the tick's reporting
+// cohort in one gather loop, parallelized over a ThreadPool, that
+// telescopes each member's partial sum and randomizes it. Client u's
+// randomness derives from Rng(base_seed).Fork(client_id) exactly like the
+// per-client path, so a fleet is bit-identical to a loop of
+// Client::ObserveState calls with the same seeds (pinned by
+// tests/core/fleet_test.cc).
 
 #ifndef FUTURERAND_CORE_FLEET_H_
 #define FUTURERAND_CORE_FLEET_H_
@@ -173,11 +177,12 @@ class ClientFleet {
   // client positions (id order) whose level h satisfies h <= z — exactly
   // the clients due at any tick t with countr_zero(t) == z. Cohorts nest
   // (z grows => superset), so one lookup replaces N divisibility tests.
+  // The last cohort is the whole fleet: the dyadic kinds reach it only at
+  // t = d, the longitudinal kinds (every client at level 0) on every tick.
   std::vector<std::vector<int32_t>> cohort_by_tz_;
 
   std::vector<RegistrationMessage> registrations_;
-  std::vector<int8_t> partial_scratch_;  // telescoped partial sums per tick
-  std::vector<int8_t> state_scratch_;    // derivative -> state translation
+  std::vector<int8_t> state_scratch_;  // derivative -> state translation
 };
 
 }  // namespace futurerand::core

@@ -1,14 +1,11 @@
 #include "futurerand/net/poller.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
-#include <poll.h>
+#include <string>
 
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
-
-#include <algorithm>
 
 namespace futurerand::net {
 
@@ -18,7 +15,6 @@ Status ErrnoStatus(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-#ifdef __linux__
 uint32_t EpollMask(bool want_read, bool want_write) {
   uint32_t mask = 0;
   if (want_read) {
@@ -29,144 +25,62 @@ uint32_t EpollMask(bool want_read, bool want_write) {
   }
   return mask;
 }
-#endif
 
 }  // namespace
 
-Result<Poller> Poller::Create(bool force_poll) {
+Result<Poller> Poller::Create() {
   Poller poller;
-#ifdef __linux__
-  if (!force_poll) {
-    const int fd = ::epoll_create1(0);
-    if (fd < 0) {
-      return ErrnoStatus("epoll_create1");
-    }
-    poller.epoll_fd_.reset(fd);
+  const int fd = ::epoll_create1(0);
+  if (fd < 0) {
+    return ErrnoStatus("epoll_create1");
   }
-#else
-  (void)force_poll;
-#endif
+  poller.epoll_fd_.reset(fd);
   return poller;
 }
 
 Status Poller::Add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_.valid()) {
-    epoll_event event{};
-    event.events = EpollMask(want_read, want_write);
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl ADD");
-    }
-    return Status::OK();
+  epoll_event event{};
+  event.events = EpollMask(want_read, want_write);
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
+    return ErrnoStatus("epoll_ctl ADD");
   }
-#endif
-  uint32_t mask = 0;
-  if (want_read) {
-    mask |= kReadInterest;
-  }
-  if (want_write) {
-    mask |= kWriteInterest;
-  }
-  interest_.emplace_back(fd, mask);
   return Status::OK();
 }
 
 Status Poller::Update(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_.valid()) {
-    epoll_event event{};
-    event.events = EpollMask(want_read, want_write);
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &event) != 0) {
-      return ErrnoStatus("epoll_ctl MOD");
-    }
-    return Status::OK();
+  epoll_event event{};
+  event.events = EpollMask(want_read, want_write);
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &event) != 0) {
+    return ErrnoStatus("epoll_ctl MOD");
   }
-#endif
-  for (auto& [registered, mask] : interest_) {
-    if (registered == fd) {
-      mask = (want_read ? kReadInterest : 0) |
-             (want_write ? kWriteInterest : 0);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("Update on unregistered fd");
+  return Status::OK();
 }
 
 Status Poller::Remove(int fd) {
-#ifdef __linux__
-  if (epoll_fd_.valid()) {
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      return ErrnoStatus("epoll_ctl DEL");
-    }
-    return Status::OK();
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr) != 0) {
+    return ErrnoStatus("epoll_ctl DEL");
   }
-#endif
-  const auto it = std::find_if(
-      interest_.begin(), interest_.end(),
-      [fd](const std::pair<int, uint32_t>& entry) {
-        return entry.first == fd;
-      });
-  if (it == interest_.end()) {
-    return Status::NotFound("Remove on unregistered fd");
-  }
-  interest_.erase(it);
   return Status::OK();
 }
 
 Result<int> Poller::Wait(std::vector<PollEvent>* events, int timeout_ms) {
   events->clear();
-#ifdef __linux__
-  if (epoll_fd_.valid()) {
-    epoll_event raw[64];
-    int count;
-    do {
-      count = ::epoll_wait(epoll_fd_.get(), raw, 64, timeout_ms);
-    } while (count < 0 && errno == EINTR);
-    if (count < 0) {
-      return ErrnoStatus("epoll_wait");
-    }
-    for (int i = 0; i < count; ++i) {
-      PollEvent event;
-      event.fd = raw[i].data.fd;
-      event.readable = (raw[i].events & EPOLLIN) != 0;
-      event.writable = (raw[i].events & EPOLLOUT) != 0;
-      event.hangup = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(event);
-    }
-    return count;
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(interest_.size());
-  for (const auto& [fd, mask] : interest_) {
-    pollfd entry{};
-    entry.fd = fd;
-    if ((mask & kReadInterest) != 0) {
-      entry.events |= POLLIN;
-    }
-    if ((mask & kWriteInterest) != 0) {
-      entry.events |= POLLOUT;
-    }
-    fds.push_back(entry);
-  }
+  epoll_event raw[64];
   int count;
   do {
-    count = ::poll(fds.data(), fds.size(), timeout_ms);
+    count = ::epoll_wait(epoll_fd_.get(), raw, 64, timeout_ms);
   } while (count < 0 && errno == EINTR);
   if (count < 0) {
-    return ErrnoStatus("poll");
+    return ErrnoStatus("epoll_wait");
   }
-  for (const pollfd& entry : fds) {
-    if (entry.revents == 0) {
-      continue;
-    }
+  for (int i = 0; i < count; ++i) {
     PollEvent event;
-    event.fd = entry.fd;
-    event.readable = (entry.revents & POLLIN) != 0;
-    event.writable = (entry.revents & POLLOUT) != 0;
-    event.hangup = (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    event.fd = raw[i].data.fd;
+    event.readable = (raw[i].events & EPOLLIN) != 0;
+    event.writable = (raw[i].events & EPOLLOUT) != 0;
+    event.hangup = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     events->push_back(event);
   }
   return count;

@@ -1,13 +1,9 @@
-// Readiness notification for the single-threaded IO loop: epoll on Linux,
-// poll(2) everywhere else (and on Linux when forced, so the fallback stays
-// tested). One Poller instance belongs to one thread; nothing here is
-// thread-safe.
+// Readiness notification for the single-threaded IO loop, on epoll. One
+// Poller instance belongs to one thread; nothing here is thread-safe.
 
 #ifndef FUTURERAND_NET_POLLER_H_
 #define FUTURERAND_NET_POLLER_H_
 
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "futurerand/common/result.h"
@@ -25,14 +21,12 @@ struct PollEvent {
   bool hangup = false;
 };
 
-/// fd registry + wait loop. Interest is level-triggered in both backends:
-/// a readable fd keeps firing until drained, a writable one until the
-/// write interest is dropped.
+/// fd registry + wait loop. Interest is level-triggered: a readable fd
+/// keeps firing until drained, a writable one until the write interest is
+/// dropped.
 class Poller {
  public:
-  /// Picks epoll where available unless `force_poll`; never fails into a
-  /// backend the platform lacks.
-  static Result<Poller> Create(bool force_poll = false);
+  static Result<Poller> Create();
 
   Poller(Poller&&) = default;
   Poller& operator=(Poller&&) = default;
@@ -47,16 +41,10 @@ class Poller {
   /// first). Returns the number of events (0 = timeout).
   Result<int> Wait(std::vector<PollEvent>* events, int timeout_ms);
 
-  bool using_epoll() const { return epoll_fd_.valid(); }
-
  private:
   Poller() = default;
 
-  FdGuard epoll_fd_;  // invalid => poll(2) fallback
-  // Fallback interest list: (fd, mask of kReadInterest|kWriteInterest).
-  static constexpr uint32_t kReadInterest = 1;
-  static constexpr uint32_t kWriteInterest = 2;
-  std::vector<std::pair<int, uint32_t>> interest_;
+  FdGuard epoll_fd_;
 };
 
 }  // namespace futurerand::net

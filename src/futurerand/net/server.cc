@@ -126,7 +126,7 @@ Result<std::unique_ptr<IngestServer>> IngestServer::Create(
                       core::ShardedAggregator::ForProtocol(
                           config.protocol, shards, config.dedup,
                           config.dedup_window));
-  FR_ASSIGN_OR_RETURN(Poller poller, Poller::Create(config.force_poll));
+  FR_ASSIGN_OR_RETURN(Poller poller, Poller::Create());
   std::unique_ptr<IngestServer> server(new IngestServer(
       config, std::move(aggregator), std::move(poller)));
   int pipe_fds[2];

@@ -1,6 +1,6 @@
-// The async FRW ingestion service: a non-blocking, epoll-driven (poll
-// fallback) server that accepts FRS-framed FRW batches over TCP and Unix
-// domain sockets and feeds them to the in-process core::ShardedAggregator.
+// The async FRW ingestion service: a non-blocking, epoll-driven server
+// that accepts FRS-framed FRW batches over TCP and Unix domain sockets and
+// feeds them to the in-process core::ShardedAggregator.
 //
 // Threading model (docs/ARCHITECTURE.md "Service"):
 //
@@ -83,8 +83,6 @@ struct ServiceConfig {
   /// Under kDelta, every this-many-th checkpoint is a full compaction
   /// that rewrites the file (>= 1); mirrors sim::FaultOptions.
   int64_t checkpoint_compact_every = 8;
-  /// Forces the poll(2) backend even where epoll exists (tests).
-  bool force_poll = false;
   /// Test-only: run in the worker thread before each batch's
   /// IngestEncoded, with the batch's per-connection sequence number. Lets
   /// tests hold a worker mid-ingest to choreograph overload replies.
@@ -166,8 +164,6 @@ class IngestServer {
   const core::ShardedAggregator& aggregator() const { return aggregator_; }
 
   ServerStats stats() const;
-
-  bool using_epoll() const { return poller_.using_epoll(); }
 
  private:
   struct WorkItem {

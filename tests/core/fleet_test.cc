@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,12 @@ uint64_t ClientSeed(uint64_t base_seed, int64_t client_id) {
   return Rng(base_seed).Fork(static_cast<uint64_t>(client_id)).NextUint64();
 }
 
+// Fleet sizes for the twin and validation sweeps: 1 and 3 are below any
+// vector width the compiler may pick for the tick's column loops, 63/64/65
+// bracket a multiple of every such width, and 1000 runs steady state plus
+// a tail.
+constexpr int64_t kSweepSizes[] = {1, 3, 63, 64, 65, 1000};
+
 class FleetKindTest : public ::testing::TestWithParam<rand::RandomizerKind> {
 };
 
@@ -67,86 +74,98 @@ TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
   // input overruns it, so the fleet's clamp path is twinned too.
   for (const Input& input : {Input{"within budget", 3, PatternState},
                              Input{"over budget", 1, FlipEveryPeriodState}}) {
-    SCOPED_TRACE(input.name);
-    const ProtocolConfig config = TestConfig(GetParam(), 32, input.k);
-    const int64_t n = 64;
-    const uint64_t base_seed = 1234;
+    for (const int64_t n : kSweepSizes) {
+      SCOPED_TRACE(std::string(input.name) + " n=" + std::to_string(n));
+      const ProtocolConfig config = TestConfig(GetParam(), 32, input.k);
+      const uint64_t base_seed = 1234;
 
-    ClientFleet fleet =
-        ClientFleet::Create(config, n, base_seed).ValueOrDie();
-    std::vector<Client> clients;
-    for (int64_t u = 0; u < n; ++u) {
-      clients.push_back(
-          Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
-    }
-
-    ASSERT_EQ(fleet.size(), n);
-    for (int64_t u = 0; u < n; ++u) {
-      EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level())
-          << u;
-      EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
-                (RegistrationMessage{u, clients[static_cast<size_t>(u)]
-                                            .level()}));
-    }
-
-    std::vector<int8_t> states(static_cast<size_t>(n));
-    ReportBatch batch;
-    int64_t total_reports = 0;
-    for (int64_t t = 1; t <= config.num_periods; ++t) {
+      ClientFleet fleet =
+          ClientFleet::Create(config, n, base_seed).ValueOrDie();
+      std::vector<Client> clients;
       for (int64_t u = 0; u < n; ++u) {
-        states[static_cast<size_t>(u)] =
-            input.state(u, t, config.num_periods);
+        clients.push_back(
+            Client::Create(config, ClientSeed(base_seed, u)).ValueOrDie());
       }
-      ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
-      ReportBatch expected;
+      ASSERT_EQ(fleet.size(), n);
       for (int64_t u = 0; u < n; ++u) {
-        const std::optional<int8_t> report =
-            clients[static_cast<size_t>(u)]
-                .ObserveState(states[static_cast<size_t>(u)])
-                .ValueOrDie();
-        if (report.has_value()) {
-          expected.push_back(ReportMessage{u, t, *report});
+        EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level())
+            << u;
+        EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
+                  (RegistrationMessage{u, clients[static_cast<size_t>(u)]
+                                              .level()}));
+      }
+
+      std::vector<int8_t> states(static_cast<size_t>(n));
+      ReportBatch batch;
+      int64_t total_reports = 0;
+      for (int64_t t = 1; t <= config.num_periods; ++t) {
+        for (int64_t u = 0; u < n; ++u) {
+          states[static_cast<size_t>(u)] =
+              input.state(u, t, config.num_periods);
         }
-      }
-      EXPECT_EQ(batch, expected) << "tick " << t;
-      total_reports += static_cast<int64_t>(batch.size());
-    }
-    EXPECT_EQ(fleet.current_time(), config.num_periods);
-    EXPECT_EQ(fleet.reports_emitted(), total_reports);
+        ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
 
-    int64_t expected_changes = 0;
-    int64_t expected_overflows = 0;
-    for (const Client& client : clients) {
-      expected_changes += client.changes_seen();
-      expected_overflows += client.support_overflow_count();
-    }
-    EXPECT_EQ(fleet.changes_seen(), expected_changes);
-    EXPECT_EQ(fleet.support_overflow_count(), expected_overflows);
-    if (input.state == FlipEveryPeriodState &&
-        !rand::IsLongitudinalKind(GetParam())) {
-      EXPECT_GT(fleet.support_overflow_count(), 0);
+        ReportBatch expected;
+        for (int64_t u = 0; u < n; ++u) {
+          const std::optional<int8_t> report =
+              clients[static_cast<size_t>(u)]
+                  .ObserveState(states[static_cast<size_t>(u)])
+                  .ValueOrDie();
+          if (report.has_value()) {
+            expected.push_back(ReportMessage{u, t, *report});
+          }
+        }
+        EXPECT_EQ(batch, expected) << "tick " << t;
+        total_reports += static_cast<int64_t>(batch.size());
+      }
+      EXPECT_EQ(fleet.current_time(), config.num_periods);
+      EXPECT_EQ(fleet.reports_emitted(), total_reports);
+
+      int64_t expected_changes = 0;
+      int64_t expected_overflows = 0;
+      for (const Client& client : clients) {
+        expected_changes += client.changes_seen();
+        expected_overflows += client.support_overflow_count();
+      }
+      EXPECT_EQ(fleet.changes_seen(), expected_changes);
+      EXPECT_EQ(fleet.support_overflow_count(), expected_overflows);
+      // Only level-0 clients see a non-zero partial sum under this input
+      // (a longer interval spans an even number of flips), so the clamp
+      // path is reached iff the fleet drew one.
+      bool has_level_zero = false;
+      for (int64_t u = 0; u < n; ++u) {
+        has_level_zero = has_level_zero || fleet.level(u) == 0;
+      }
+      if (input.state == FlipEveryPeriodState &&
+          !rand::IsLongitudinalKind(GetParam()) && has_level_zero) {
+        EXPECT_GT(fleet.support_overflow_count(), 0);
+      }
     }
   }
 }
 
 TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
   const ProtocolConfig config = TestConfig(GetParam());
-  const int64_t n = 96;
   ThreadPool pool(4);
-  ClientFleet pooled =
-      ClientFleet::Create(config, n, 77, &pool).ValueOrDie();
-  ClientFleet serial = ClientFleet::Create(config, n, 77).ValueOrDie();
-  EXPECT_EQ(pooled.registrations(), serial.registrations());
+  for (const int64_t n : kSweepSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ClientFleet pooled =
+        ClientFleet::Create(config, n, 77, &pool).ValueOrDie();
+    ClientFleet serial = ClientFleet::Create(config, n, 77).ValueOrDie();
+    EXPECT_EQ(pooled.registrations(), serial.registrations());
 
-  std::vector<int8_t> states(static_cast<size_t>(n));
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      states[static_cast<size_t>(u)] = PatternState(u, t, config.num_periods);
+    std::vector<int8_t> states(static_cast<size_t>(n));
+    for (int64_t t = 1; t <= config.num_periods; ++t) {
+      for (int64_t u = 0; u < n; ++u) {
+        states[static_cast<size_t>(u)] =
+            PatternState(u, t, config.num_periods);
+      }
+      const ReportBatch a = pooled.AdvanceTick(states).ValueOrDie();
+      const ReportBatch b = serial.AdvanceTick(states).ValueOrDie();
+      EXPECT_EQ(a, b) << "tick " << t;
     }
-    const ReportBatch a = pooled.AdvanceTick(states).ValueOrDie();
-    const ReportBatch b = serial.AdvanceTick(states).ValueOrDie();
-    EXPECT_EQ(a, b) << "tick " << t;
+    EXPECT_EQ(pooled.changes_seen(), serial.changes_seen());
   }
 }
 
@@ -313,6 +332,65 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
   }
   // And the clock is exhausted.
   EXPECT_FALSE(fleet.AdvanceTick(good, &batch).ok());
+
+  // Poisoned-element sweep: one bad byte at the first, middle or last
+  // position of an otherwise valid tick, across sizes on both sides of
+  // every vector width. Each rejected call must leave its fleet equal to
+  // an untouched twin for the rest of the horizon.
+  using Tick = Status (ClientFleet::*)(std::span<const int8_t>, ReportBatch*);
+  auto expect_rejected = [&](int64_t n, Tick tick,
+                             const std::vector<int8_t>& poisoned) {
+    ClientFleet poisoned_fleet = ClientFleet::Create(config, n, 3).ValueOrDie();
+    ClientFleet twin = ClientFleet::Create(config, n, 3).ValueOrDie();
+    // One good tick first, so some current states are 1.
+    std::vector<int8_t> states(static_cast<size_t>(n));
+    for (int64_t u = 0; u < n; ++u) {
+      states[static_cast<size_t>(u)] = static_cast<int8_t>(u % 2);
+    }
+    ASSERT_EQ(poisoned_fleet.AdvanceTick(states).ValueOrDie(),
+              twin.AdvanceTick(states).ValueOrDie());
+
+    ReportBatch rejected;
+    EXPECT_EQ((poisoned_fleet.*tick)(poisoned, &rejected).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(poisoned_fleet.current_time(), 1);
+    EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen());
+    EXPECT_EQ(poisoned_fleet.reports_emitted(), twin.reports_emitted());
+    // Continue by derivatives, which read the current-state column
+    // directly, so a partial write to it would show.
+    std::vector<int8_t> derivatives(static_cast<size_t>(n));
+    for (int64_t t = 2; t <= config.num_periods; ++t) {
+      for (int64_t u = 0; u < n; ++u) {
+        derivatives[static_cast<size_t>(u)] =
+            static_cast<int8_t>((u + t) % 2 == 0 ? 1 : -1);
+      }
+      EXPECT_EQ(poisoned_fleet.AdvanceTickDerivatives(derivatives)
+                    .ValueOrDie(),
+                twin.AdvanceTickDerivatives(derivatives).ValueOrDie())
+          << "t=" << t;
+      EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen());
+    }
+  };
+  for (const int64_t n : kSweepSizes) {
+    for (const int64_t position : {int64_t{0}, n / 2, n - 1}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " position=" + std::to_string(position));
+      const auto p = static_cast<size_t>(position);
+      for (const int8_t state : {int8_t{2}, int8_t{-1}, int8_t{127},
+                                 int8_t{-128}}) {
+        std::vector<int8_t> states(static_cast<size_t>(n), 0);
+        states[p] = state;
+        expect_rejected(n, &ClientFleet::AdvanceTick, states);
+      }
+      // Out of range, and in range but leaving {0,1}: after the good
+      // tick client u's state is u % 2, so +1 or -1 by parity exits.
+      std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
+      derivatives[p] = 2;
+      expect_rejected(n, &ClientFleet::AdvanceTickDerivatives, derivatives);
+      derivatives[p] = position % 2 == 1 ? int8_t{1} : int8_t{-1};
+      expect_rejected(n, &ClientFleet::AdvanceTickDerivatives, derivatives);
+    }
+  }
 }
 
 TEST(FleetTest, PoisonedConfigReturnsFirstErrorPooledAndSerial) {
@@ -343,7 +421,7 @@ TEST(FleetTest, FailedDerivativeTickLeavesFleetByteIdentical) {
   // indistinguishable from a twin that never saw it.
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kFutureRand, 16, 3);
-  const int64_t n = 70;  // straddles two AVX2 lanes plus tail
+  const int64_t n = 70;
   ClientFleet fleet = ClientFleet::Create(config, n, 11).ValueOrDie();
   ClientFleet twin = ClientFleet::Create(config, n, 11).ValueOrDie();
 

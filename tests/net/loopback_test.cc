@@ -78,7 +78,6 @@ struct TempDir {
 
 struct TransportParam {
   bool tcp = false;
-  bool force_poll = false;
 };
 
 class LoopbackTest : public ::testing::TestWithParam<TransportParam> {
@@ -86,7 +85,6 @@ class LoopbackTest : public ::testing::TestWithParam<TransportParam> {
   // Creates + starts a server on the parameterized transport and returns a
   // connect function for it.
   void StartServer(ServiceConfig config) {
-    config.force_poll = GetParam().force_poll;
     server_ = IngestServer::Create(config).ValueOrDie();
     if (GetParam().tcp) {
       port_ = server_->AddTcpListener("127.0.0.1", 0).ValueOrDie();
@@ -95,7 +93,6 @@ class LoopbackTest : public ::testing::TestWithParam<TransportParam> {
       ASSERT_TRUE(server_->AddUnixListener(uds_).ok());
     }
     ASSERT_TRUE(server_->Start().ok());
-    EXPECT_EQ(server_->using_epoll(), !GetParam().force_poll);
   }
 
   StreamClient Connect() {
@@ -256,12 +253,10 @@ TEST_P(LoopbackTest, FullWorkerQueueAnswersOverloadAndConsumesNothing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, LoopbackTest,
-    ::testing::Values(TransportParam{/*tcp=*/false, /*force_poll=*/false},
-                      TransportParam{/*tcp=*/false, /*force_poll=*/true},
-                      TransportParam{/*tcp=*/true, /*force_poll=*/false}),
+    ::testing::Values(TransportParam{/*tcp=*/false},
+                      TransportParam{/*tcp=*/true}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
-      return std::string(info.param.tcp ? "Tcp" : "Unix") +
-             (info.param.force_poll ? "Poll" : "Epoll");
+      return std::string(info.param.tcp ? "TcpEpoll" : "UnixEpoll");
     });
 
 // ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ int Run(int argc, char** argv) {
   std::string checkpoint_mode = "full";
   int64_t checkpoint_compact_every = 8;
   std::string restore;
-  bool force_poll = false;
   bool json = false;
   bool help = false;
 
@@ -94,8 +93,6 @@ int Run(int argc, char** argv) {
   parser.AddString("restore", &restore,
                    "checkpoint file to restore before serving (warm "
                    "restart)");
-  parser.AddBool("force-poll", &force_poll,
-                 "use the poll(2) backend even where epoll exists");
   parser.AddBool("json", &json,
                  "print one {\"bench\":\"frserve\",...} stats line on exit");
   parser.AddBool("help", &help, "print usage");
@@ -138,7 +135,6 @@ int Run(int argc, char** argv) {
   config.checkpoint_interval_ms = checkpoint_interval_ms;
   config.checkpoint_mode = *mode;
   config.checkpoint_compact_every = checkpoint_compact_every;
-  config.force_poll = force_poll;
 
   auto server = net::IngestServer::Create(config);
   if (!server.ok()) {
@@ -183,9 +179,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
   // The ready line is the startup barrier scripts wait on.
-  std::printf("frserve ready (backend=%s workers=%d)\n",
-              (*server)->using_epoll() ? "epoll" : "poll",
-              config.num_workers);
+  std::printf("frserve ready (workers=%d)\n", config.num_workers);
   std::fflush(stdout);
 
   const Status served = (*server)->Join();
@@ -195,7 +189,6 @@ int Run(int argc, char** argv) {
   if (json) {
     JsonLine line;
     line.Add("bench", "frserve")
-        .Add("backend", (*server)->using_epoll() ? "epoll" : "poll")
         .Add("workers", config.num_workers)
         .Add("port", bound_port)
         .AddFields(stats);
