@@ -77,7 +77,8 @@ Result<Measured> RunOnce(sim::ProtocolKind protocol,
     FR_ASSIGN_OR_RETURN(core::ShardedAggregator aggregator,
                         core::ShardedAggregator::ForProtocol(config, 1));
     WallTimer timer;
-    const std::string registrations = fleet.EncodeRegistrations();
+    const std::string registrations =
+        core::EncodeRegistrationBatch(fleet.registrations());
     total.bytes += static_cast<int64_t>(registrations.size());
     total.client_seconds += timer.LapSeconds();
     FR_RETURN_NOT_OK(aggregator.IngestEncoded(registrations));

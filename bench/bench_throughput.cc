@@ -97,7 +97,8 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
       core::ShardedAggregator aggregator,
       core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
                                            faults.dedup_window));
-  const std::string registration_bytes = fleet.EncodeRegistrations();
+  const std::string registration_bytes =
+      core::EncodeRegistrationBatch(fleet.registrations());
   stats.wire_bytes += static_cast<int64_t>(registration_bytes.size());
   FR_RETURN_NOT_OK(aggregator.IngestEncoded(registration_bytes, pool));
 

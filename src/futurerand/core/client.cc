@@ -64,16 +64,4 @@ Result<std::optional<int8_t>> Client::ObserveState(int8_t state) {
   return std::optional<int8_t>(randomizer_.Randomize(partial_sum));
 }
 
-Result<std::optional<int8_t>> Client::ObserveDerivative(int8_t derivative) {
-  if (derivative != -1 && derivative != 0 && derivative != 1) {
-    return Status::InvalidArgument("derivative must be in {-1,0,+1}");
-  }
-  const int8_t next_state = static_cast<int8_t>(current_state_ + derivative);
-  if (next_state != 0 && next_state != 1) {
-    return Status::InvalidArgument(
-        "derivative would move the Boolean state outside {0,1}");
-  }
-  return ObserveState(next_state);
-}
-
 }  // namespace futurerand::core

@@ -43,11 +43,6 @@ class Client {
   /// values are fed.
   Result<std::optional<int8_t>> ObserveState(int8_t state);
 
-  /// Equivalent input path taking the discrete derivative
-  /// X_u[t] in {-1,0,+1} (Definition 3.1) instead of the state. Errors if
-  /// the implied state would leave {0,1}.
-  Result<std::optional<int8_t>> ObserveDerivative(int8_t derivative);
-
   /// Time periods ingested so far.
   int64_t current_time() const { return time_; }
 

@@ -34,7 +34,6 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
   fleet.current_states_.assign(n, 0);
   fleet.boundary_states_.assign(n, 0);
   fleet.randomizers_.resize((n + kChunkSize - 1) >> kChunkShift);
-  fleet.registrations_.resize(n);
 
   // Randomizer parameters depend on a client only through its level
   // (L = d >> h, k = SupportAtLevel(h)): build each level's block once, up
@@ -86,7 +85,6 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
         fleet.levels_[i] = level;
         chunk.emplace_back(local[static_cast<size_t>(level)],
                            rng.NextUint64());
-        fleet.registrations_[i] = RegistrationMessage{client_id, level};
       }
     }
   };
@@ -99,14 +97,29 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
 
   // Precompute the nested reporting cohorts (id order within each): client
   // u is due at tick t iff 2^level divides t, i.e. level <= countr_zero(t).
-  fleet.cohort_by_tz_.resize(static_cast<size_t>(config.num_orders()));
+  // One cohort per level up to the highest present; deeper trailing zeros
+  // add no members.
+  int max_level = 0;
+  for (const int level : fleet.levels_) {
+    max_level = std::max(max_level, level);
+  }
+  fleet.cohort_by_tz_.resize(static_cast<size_t>(max_level) + 1);
   for (size_t u = 0; u < n; ++u) {
-    for (int z = fleet.levels_[u]; z < config.num_orders(); ++z) {
+    for (int z = fleet.levels_[u]; z <= max_level; ++z) {
       fleet.cohort_by_tz_[static_cast<size_t>(z)].push_back(
           static_cast<int32_t>(u));
     }
   }
   return fleet;
+}
+
+std::vector<RegistrationMessage> ClientFleet::registrations() const {
+  std::vector<RegistrationMessage> out(levels_.size());
+  for (size_t u = 0; u < levels_.size(); ++u) {
+    out[u] = RegistrationMessage{first_client_id_ + static_cast<int64_t>(u),
+                                 levels_[u]};
+  }
+  return out;
 }
 
 Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
@@ -130,66 +143,6 @@ Status ClientFleet::AdvanceTick(std::span<const int8_t> states,
   return Status::OK();
 }
 
-Result<ReportBatch> ClientFleet::AdvanceTick(std::span<const int8_t> states) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
-  return batch;
-}
-
-Status ClientFleet::AdvanceTickDerivatives(
-    std::span<const int8_t> derivatives, ReportBatch* batch) {
-  if (static_cast<int64_t>(derivatives.size()) != size()) {
-    return Status::InvalidArgument(
-        "derivatives span must cover every client");
-  }
-  if (time_ >= config_.num_periods) {
-    return Status::OutOfRange("all d time periods already ingested");
-  }
-  // Validate the whole tick read-only; scratch is written only after the
-  // tick is known good, so a failed call leaves the fleet byte-identical.
-  const size_t n = derivatives.size();
-  for (size_t i = 0; i < n; ++i) {
-    const int8_t derivative = derivatives[i];
-    if (derivative != -1 && derivative != 0 && derivative != 1) {
-      return Status::InvalidArgument("derivative must be in {-1,0,+1}");
-    }
-    const auto next_state =
-        static_cast<int8_t>(current_states_[i] + derivative);
-    if (next_state != 0 && next_state != 1) {
-      return Status::InvalidArgument(
-          "derivative would move the Boolean state outside {0,1}");
-    }
-  }
-  // Raw pointers: an int8_t store may alias any object, the vectors' own
-  // data pointers included, and that would keep the loop from vectorizing.
-  state_scratch_.resize(n);
-  int8_t* next = state_scratch_.data();
-  const int8_t* current = current_states_.data();
-  for (size_t i = 0; i < n; ++i) {
-    next[i] = static_cast<int8_t>(current[i] + derivatives[i]);
-  }
-  TickValidated(state_scratch_, batch);
-  return Status::OK();
-}
-
-Result<ReportBatch> ClientFleet::AdvanceTickDerivatives(
-    std::span<const int8_t> derivatives) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTickDerivatives(derivatives, &batch));
-  return batch;
-}
-
-std::string ClientFleet::EncodeRegistrations() const {
-  return EncodeRegistrationBatch(registrations_);
-}
-
-Result<std::string> ClientFleet::AdvanceTickEncoded(
-    std::span<const int8_t> states) {
-  ReportBatch batch;
-  FR_RETURN_NOT_OK(AdvanceTick(states, &batch));
-  return EncodeReportBatch(batch);
-}
-
 void ClientFleet::TickValidated(std::span<const int8_t> states,
                                 ReportBatch* batch) {
   ++time_;
@@ -209,11 +162,11 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
   changes_total_ += changes;
   std::memcpy(current_states_.data(), states.data(), n);
 
-  // The reporting cohort depends only on countr_zero(t) (clamped: every
-  // level is < num_orders, so deeper trailing zeros add no members).
-  const auto z = static_cast<size_t>(
-      std::min<int64_t>(std::countr_zero(static_cast<uint64_t>(t)),
-                        config_.num_orders() - 1));
+  // The reporting cohort depends only on countr_zero(t), clamped to the
+  // last cohort (the highest level present).
+  const auto z = std::min<size_t>(
+      static_cast<size_t>(std::countr_zero(static_cast<uint64_t>(t))),
+      cohort_by_tz_.size() - 1);
   const std::vector<int32_t>& cohort = cohort_by_tz_[z];
   batch->resize(cohort.size());
 
@@ -242,22 +195,6 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
   reports_emitted_ += static_cast<int64_t>(batch->size());
 }
 
-namespace {
-
-// Doubles travel as raw IEEE-754 bits (the snapshot convention): the
-// restored fleet must randomize bit-identically, so the creation
-// parameters must round-trip exactly, not via decimal text.
-void PutDoubleBits(double value, std::string* out) {
-  wire_internal::PutFixed64(std::bit_cast<uint64_t>(value), out);
-}
-
-Result<double> GetDoubleBits(std::string_view* bytes) {
-  FR_ASSIGN_OR_RETURN(const uint64_t bits, wire_internal::GetFixed64(bytes));
-  return std::bit_cast<double>(bits);
-}
-
-}  // namespace
-
 Result<std::string> ClientFleet::EncodeLongitudinalState() const {
   if (!rand::IsLongitudinalKind(config_.randomizer)) {
     return Status::FailedPrecondition(
@@ -270,8 +207,10 @@ Result<std::string> ClientFleet::EncodeLongitudinalState() const {
                              &out);
   wire_internal::PutVarint64(static_cast<uint64_t>(config_.num_periods),
                              &out);
-  PutDoubleBits(config_.epsilon, &out);
-  PutDoubleBits(config_.longitudinal_alpha, &out);
+  // Doubles travel as raw bits: the restored fleet must randomize
+  // bit-identically, so the creation parameters must round-trip exactly.
+  wire_internal::PutDoubleBits(config_.epsilon, &out);
+  wire_internal::PutDoubleBits(config_.longitudinal_alpha, &out);
   wire_internal::PutVarint64(
       wire_internal::ZigZagEncode(first_client_id_), &out);
   wire_internal::PutVarint64(static_cast<uint64_t>(size()), &out);
@@ -327,8 +266,10 @@ Status ClientFleet::RestoreLongitudinalState(std::string_view bytes) {
   if (raw_periods != static_cast<uint64_t>(config_.num_periods)) {
     return Status::InvalidArgument("snapshot num_periods mismatches fleet");
   }
-  FR_ASSIGN_OR_RETURN(const double epsilon, GetDoubleBits(&bytes));
-  FR_ASSIGN_OR_RETURN(const double alpha, GetDoubleBits(&bytes));
+  FR_ASSIGN_OR_RETURN(const double epsilon,
+                      wire_internal::GetDoubleBits(&bytes));
+  FR_ASSIGN_OR_RETURN(const double alpha,
+                      wire_internal::GetDoubleBits(&bytes));
   if (std::bit_cast<uint64_t>(epsilon) !=
           std::bit_cast<uint64_t>(config_.epsilon) ||
       std::bit_cast<uint64_t>(alpha) !=

@@ -6,10 +6,12 @@
 // parallel vectors, and each client's rand::SequenceRandomizer is held by
 // value in a column beside them — so one AdvanceTick call replaces N
 // ObserveState calls and emits a packed ReportBatch ready for wire
-// encoding. A tick validates the state column, counts changes and copies
-// it in with plain whole-column loops, then walks the tick's reporting
-// cohort in one gather loop, parallelized over a ThreadPool, that
-// telescopes each member's partial sum and randomizes it. Client u's
+// encoding. The fleet stores only what it cannot derive: a client's
+// registration is (first id + position, level), read from the level column.
+// A tick validates the state column, counts changes and copies it in with
+// plain whole-column loops, then walks the tick's reporting cohort in one
+// gather loop, parallelized over a ThreadPool, that telescopes each
+// member's partial sum and randomizes it. Client u's
 // randomness derives from Rng(base_seed).Fork(client_id) exactly like the
 // per-client path, so a fleet is bit-identical to a loop of
 // Client::ObserveState calls with the same seeds (pinned by
@@ -60,44 +62,21 @@ class ClientFleet {
   ClientFleet(const ClientFleet&) = delete;
   ClientFleet& operator=(const ClientFleet&) = delete;
 
-  /// Registration records (client id, level) for every client, in id order;
-  /// feed straight into EncodeRegistrationBatch or
-  /// ShardedAggregator::IngestRegistrations. The reference stays valid for
-  /// the fleet's lifetime (registrations never change after Create).
-  const std::vector<RegistrationMessage>& registrations() const {
-    return registrations_;
-  }
+  /// Registration records (client id, level) for every client, in id order,
+  /// built from the level column on each call (registrations never change
+  /// after Create); feed straight into EncodeRegistrationBatch or
+  /// ShardedAggregator::IngestRegistrations. To register one client, build
+  /// {first_client_id() + index, level(index)} instead.
+  std::vector<RegistrationMessage> registrations() const;
 
   /// Advances the whole fleet one time period: states[i] is client i's
   /// Boolean value st[t] for the next period t. Appends the reports due at
   /// t (clients whose 2^h divides t), in client-id order, to `*batch` after
   /// clearing it. Errors — wrong span size, a state outside {0,1}, or more
   /// than d ticks — are returned before any client state changes, so a
-  /// failed call leaves the fleet untouched.
+  /// failed call leaves the fleet untouched. The batch feeds
+  /// EncodeReportBatch for the wire.
   Status AdvanceTick(std::span<const int8_t> states, ReportBatch* batch);
-
-  /// Convenience overload allocating a fresh batch.
-  Result<ReportBatch> AdvanceTick(std::span<const int8_t> states);
-
-  /// Equivalent input path taking discrete derivatives in {-1,0,+1}
-  /// (Definition 3.1) instead of states. Errors if any implied state would
-  /// leave {0,1}; like AdvanceTick, validation precedes any mutation.
-  Status AdvanceTickDerivatives(std::span<const int8_t> derivatives,
-                                ReportBatch* batch);
-
-  /// Convenience overload allocating a fresh batch.
-  Result<ReportBatch> AdvanceTickDerivatives(
-      std::span<const int8_t> derivatives);
-
-  /// EncodeRegistrationBatch(registrations()) — the bytes
-  /// a deployment ships once before any report.
-  std::string EncodeRegistrations() const;
-
-  /// AdvanceTick + EncodeReportBatch in one call: advances the fleet one
-  /// period and returns the tick's reports as checksummed wire bytes. Same
-  /// error contract as AdvanceTick (a failed call leaves the fleet
-  /// untouched).
-  Result<std::string> AdvanceTickEncoded(std::span<const int8_t> states);
 
   /// Number of clients in the fleet.
   int64_t size() const { return static_cast<int64_t>(levels_.size()); }
@@ -146,7 +125,7 @@ class ClientFleet {
   ClientFleet(const ProtocolConfig& config, ThreadPool* pool,
               int64_t first_client_id);
 
-  // Shared implementation; `states` has been validated by the caller.
+  // The tick itself; AdvanceTick has validated `states`.
   void TickValidated(std::span<const int8_t> states, ReportBatch* batch);
 
   // Client `index`'s randomizer (0-based position, not id).
@@ -175,14 +154,13 @@ class ClientFleet {
 
   // Reporting cohorts, precomputed at Create: cohort_by_tz_[z] lists the
   // client positions (id order) whose level h satisfies h <= z — exactly
-  // the clients due at any tick t with countr_zero(t) == z. Cohorts nest
-  // (z grows => superset), so one lookup replaces N divisibility tests.
-  // The last cohort is the whole fleet: the dyadic kinds reach it only at
-  // t = d, the longitudinal kinds (every client at level 0) on every tick.
+  // the clients due at any tick t with countr_zero(t) == z, z clamped to
+  // the last entry. Cohorts nest (z grows => superset), so one lookup
+  // replaces N divisibility tests. There is one entry per level up to the
+  // highest level present, and the last is the whole fleet: a dyadic fleet
+  // with a client at level log d reaches it only at t = d; a longitudinal
+  // fleet (every client at level 0) holds only that one, used every tick.
   std::vector<std::vector<int32_t>> cohort_by_tz_;
-
-  std::vector<RegistrationMessage> registrations_;
-  std::vector<int8_t> state_scratch_;  // derivative -> state translation
 };
 
 }  // namespace futurerand::core

@@ -451,28 +451,6 @@ Result<std::vector<double>> Server::EstimateAllConsistent() const {
   return results;
 }
 
-Status Server::Merge(const Server& other) {
-  FR_RETURN_NOT_OK(CheckMergeCompatible(other));
-  const std::vector<int64_t>& other_ids = other.clients_.ids();
-  for (size_t slot = 0; slot < other_ids.size(); ++slot) {
-    // Strict registration regardless of policy: merged shards partition the
-    // client population, so a shared id is a sharding bug, not a retry.
-    FR_RETURN_NOT_OK(RegisterClientStrict(other_ids[slot],
-                                          other.client_levels_[slot]));
-    // RegisterClientStrict pushed a default column entry; overwrite it with
-    // the source client's dedup state.
-    if (dedup_policy_ == DedupPolicy::kIdempotent) {
-      seen_boundaries_.back() = other.seen_boundaries_[slot];
-    } else {
-      last_report_time_.back() = other.last_report_time_[slot];
-    }
-  }
-  duplicates_dropped_ += other.duplicates_dropped_;
-  out_of_window_dropped_ += other.out_of_window_dropped_;
-  AddSums(other);
-  return Status::OK();
-}
-
 Status Server::MergeAggregatesOnly(const Server& other) {
   FR_RETURN_NOT_OK(CheckMergeCompatible(other));
   for (size_t h = 0; h < level_counts_.size(); ++h) {

@@ -222,27 +222,20 @@ class Server {
   /// noisy. Valid once all reports for times <= r are in.
   Result<double> EstimateWindowDelta(int64_t l, int64_t r) const;
 
-  /// Merges the accumulators of `other` (same shape, scales, policies) into
-  /// this server; client registrations and dedup state are combined. Errors
-  /// if shapes/policies mismatch or the client populations overlap (merged
-  /// shards must partition clients). On error this server may have absorbed
-  /// a prefix of `other`'s clients — merge into a scratch server when that
-  /// matters.
-  Status Merge(const Server& other);
-
   /// Merges only the aggregate state of `other` — interval sums and
   /// per-level client counts — skipping the per-client registration maps.
-  /// The result answers every Estimate* query identically to a full Merge
-  /// but must not ingest further reports (it does not know `other`'s
-  /// clients). Lets a read-only query snapshot over sharded servers refresh
-  /// in O(d) per shard instead of O(clients).
+  /// The result answers every Estimate* query identically to a full merge
+  /// of the client state (ReshardServerStates onto one shard) but must not
+  /// ingest further reports (it does not know `other`'s clients). Lets a
+  /// read-only query snapshot over sharded servers refresh in O(d) per
+  /// shard instead of O(clients).
   Status MergeAggregatesOnly(const Server& other);
 
   int64_t num_periods() const { return num_periods_; }
   int64_t num_clients() const { return clients_.size(); }
 
   /// The aggregate-store configuration this server was built with, in
-  /// canonical form. Part of the server's identity: Merge, restore and
+  /// canonical form. Part of the server's identity: merge, restore and
   /// resharding require equal store configs.
   const StoreConfig& store_config() const { return store_config_; }
 
@@ -256,7 +249,7 @@ class Server {
   const std::vector<double>& level_scales() const { return level_scales_; }
 
   /// The estimator this server answers queries with. Part of the server's
-  /// identity like the scales: Merge, restore and resharding require equal
+  /// identity like the scales: merge, restore and resharding require equal
   /// estimator specs.
   const EstimatorSpec& estimator() const { return estimator_spec_; }
 

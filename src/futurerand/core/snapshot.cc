@@ -19,20 +19,12 @@ using wire_internal::AppendChecksum;
 using wire_internal::AppendHeader;
 using wire_internal::ConsumeChecksum;
 using wire_internal::ConsumeHeader;
+using wire_internal::GetDoubleBits;
 using wire_internal::GetVarint64;
+using wire_internal::PutDoubleBits;
 using wire_internal::PutVarint64;
 using wire_internal::ZigZagDecode;
 using wire_internal::ZigZagEncode;
-
-void PutDoubleBits(double value, std::string* out) {
-  wire_internal::PutFixed64(std::bit_cast<uint64_t>(value), out);
-}
-
-Result<double> GetDoubleBits(std::string_view* bytes) {
-  FR_ASSIGN_OR_RETURN(const uint64_t bits,
-                      wire_internal::GetFixed64(bytes));
-  return std::bit_cast<double>(bits);
-}
 
 // Decoded varints drive allocations, so every size read from the wire is
 // cross-checked against the bytes that remain: a field claiming more

@@ -1,6 +1,7 @@
 #include "futurerand/core/wire.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace futurerand::core {
 
@@ -23,6 +24,15 @@ Result<uint64_t> GetFixed64(std::string_view* bytes) {
   }
   bytes->remove_prefix(8);
   return value;
+}
+
+void PutDoubleBits(double value, std::string* out) {
+  PutFixed64(std::bit_cast<uint64_t>(value), out);
+}
+
+Result<double> GetDoubleBits(std::string_view* bytes) {
+  FR_ASSIGN_OR_RETURN(const uint64_t bits, GetFixed64(bytes));
+  return std::bit_cast<double>(bits);
 }
 
 void PutVarint64(uint64_t value, std::string* out) {

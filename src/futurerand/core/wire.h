@@ -169,6 +169,13 @@ void PutFixed64(uint64_t value, std::string* out);
 /// Reads 8 little-endian bytes from the front of `bytes`, advancing it.
 Result<uint64_t> GetFixed64(std::string_view* bytes);
 
+/// Appends a double as its raw IEEE-754 bits (PutFixed64). Snapshots carry
+/// doubles this way, not as decimal text, so a restore is bit-exact.
+void PutDoubleBits(double value, std::string* out);
+
+/// Reads a PutDoubleBits value from the front of `bytes`, advancing it.
+Result<double> GetDoubleBits(std::string_view* bytes);
+
 /// Appends an unsigned LEB128 varint.
 void PutVarint64(uint64_t value, std::string* out);
 

@@ -15,7 +15,9 @@
 //
 // Three payload families ride inside frames, distinguished by their magic:
 //
-//   'F','R','W'  a batch (core/wire.h kinds; the service ingests 1/2/6/7)
+//   'F','R','W'  a batch (core/wire.h kinds; the service ingests 6/7; the
+//                retired v1 kinds 1/2 fail the header check with kDataLoss,
+//                so the worker answers kNack)
 //   'F','R','A'  a reply: the receiver's per-batch verdict (ack / NACK /
 //                overload / error) plus its ingest outcome counts, echoing
 //                the per-connection sequence number of the batch it answers

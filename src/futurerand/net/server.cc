@@ -23,6 +23,10 @@ constexpr int kMaxReadsPerEvent = 16;
 
 constexpr size_t kReadChunkBytes = 1 << 16;
 
+// Outbox bytes above which a connection stops being read until its
+// replies drain.
+constexpr size_t kMaxWriteBufferBytes = 4u << 20;
+
 Status WriteFileAtomically(const std::string& path,
                            const std::string& contents) {
   const std::string temp = path + ".tmp";
@@ -70,9 +74,6 @@ Status ServiceConfig::Validate() const {
   }
   if (worker_queue_capacity < 1) {
     return Status::InvalidArgument("worker_queue_capacity must be >= 1");
-  }
-  if (max_write_buffer_bytes < 1) {
-    return Status::InvalidArgument("max_write_buffer_bytes must be >= 1");
   }
   if (checkpoint_interval_ms < 0) {
     return Status::InvalidArgument("checkpoint_interval_ms must be >= 0");
@@ -566,7 +567,7 @@ void IngestServer::FlushOutbox(Connection* conn) {
   // Backpressure: a connection that will not read its replies stops being
   // read itself until the outbox drains below the cap.
   const bool should_pause =
-      conn->closing || conn->outbox.size() > config_.max_write_buffer_bytes;
+      conn->closing || conn->outbox.size() > kMaxWriteBufferBytes;
   const bool should_write = !conn->outbox.empty();
   if (should_pause != conn->paused || should_write != conn->want_write) {
     conn->paused = should_pause;

@@ -22,8 +22,8 @@
 // retransmit policy, sim::RetransmitLoop), kError for non-retryable
 // failures. Backpressure is two-layered: a full worker queue answers
 // kOverload immediately (nothing consumed — resend the same bytes), and a
-// connection whose outbox exceeds max_write_buffer_bytes stops being read
-// until it drains.
+// connection whose outbox exceeds a fixed 4 MiB stops being read until it
+// drains.
 //
 // Durability: with a checkpoint path configured the IO thread checkpoints
 // on a timer — full blobs rewrite the file atomically (temp + rename),
@@ -69,9 +69,6 @@ struct ServiceConfig {
   /// Batches a worker queue holds before the server answers kOverload
   /// instead of queueing (>= 1).
   size_t worker_queue_capacity = 128;
-  /// Outbox bytes above which a connection stops being read until its
-  /// replies drain (>= 1).
-  size_t max_write_buffer_bytes = 4u << 20;
   /// Durable checkpoint file; empty disables checkpointing entirely
   /// (including the final one).
   std::string checkpoint_path;

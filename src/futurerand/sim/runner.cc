@@ -420,7 +420,8 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
       const int64_t join = workload.presence()[static_cast<size_t>(u)].join;
       if (join > 1) {
         joiners_by_tick[static_cast<size_t>(join)].push_back(
-            fleet.registrations()[static_cast<size_t>(u)]);
+            core::RegistrationMessage{fleet.first_client_id() + u,
+                                      fleet.level(u)});
       }
     }
   }

@@ -64,7 +64,8 @@ EncodedTraffic GenerateTraffic(uint64_t seed) {
       states[static_cast<size_t>(u)] =
           ((t + u) / 8) % 2 == 0 ? int8_t{0} : int8_t{1};
     }
-    ReportBatch batch = fleet.AdvanceTick(states).ValueOrDie();
+    ReportBatch batch;
+    EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
     traffic.raw_batches.push_back(batch);
     // Shuffle so concurrent deliveries are also out of order internally.
     for (size_t i = batch.size(); i > 1; --i) {

@@ -57,7 +57,8 @@ Traffic GenerateTraffic(uint64_t seed) {
     for (int64_t u = 0; u < kUsers; ++u) {
       states[static_cast<size_t>(u)] = PatternState(u, t);
     }
-    traffic.batches.push_back(fleet.AdvanceTick(states).ValueOrDie());
+    EXPECT_TRUE(
+        fleet.AdvanceTick(states, &traffic.batches.emplace_back()).ok());
   }
   return traffic;
 }

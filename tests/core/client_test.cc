@@ -85,35 +85,6 @@ TEST(ClientTest, CountsChangesWithStZeroConvention) {
   EXPECT_EQ(client.current_time(), 8);
 }
 
-TEST(ClientTest, DerivativeInputMatchesStateInput) {
-  const ProtocolConfig config = TestConfig(8, 8);
-  Client by_state = Client::Create(config, 11).ValueOrDie();
-  Client by_derivative = Client::Create(config, 11).ValueOrDie();
-  const std::vector<int8_t> states = {0, 1, 1, 0, 1, 1, 0, 0};
-  int8_t previous = 0;
-  for (int8_t state : states) {
-    const auto report_a = by_state.ObserveState(state).ValueOrDie();
-    const auto report_b =
-        by_derivative
-            .ObserveDerivative(static_cast<int8_t>(state - previous))
-            .ValueOrDie();
-    EXPECT_EQ(report_a.has_value(), report_b.has_value());
-    if (report_a.has_value()) {
-      EXPECT_EQ(*report_a, *report_b);
-    }
-    previous = state;
-  }
-}
-
-TEST(ClientTest, DerivativeRejectsOutOfRangeTransitions) {
-  const ProtocolConfig config = TestConfig();
-  Client client = Client::Create(config, 5).ValueOrDie();
-  EXPECT_FALSE(client.ObserveDerivative(-1).ok());  // state would become -1
-  ASSERT_TRUE(client.ObserveDerivative(1).ok());    // 0 -> 1
-  EXPECT_FALSE(client.ObserveDerivative(1).ok());   // 1 -> 2 invalid
-  EXPECT_FALSE(client.ObserveDerivative(2).ok());   // not a derivative
-}
-
 TEST(ClientTest, NoOverflowForContractAbidingUser) {
   const ProtocolConfig config = TestConfig(16, 3);
   Client client = Client::Create(config, 13).ValueOrDie();

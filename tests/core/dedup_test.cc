@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "futurerand/core/fleet.h"
 #include "futurerand/core/server.h"
 #include "futurerand/core/wire.h"
+#include "testsupport/merge_shards.h"
 
 namespace futurerand::core {
 namespace {
@@ -105,8 +107,10 @@ TEST(DedupPolicyTest, EveryBoundaryOfEveryLevelDedupsExactly) {
 TEST(DedupPolicyTest, MergeRequiresMatchingPolicies) {
   Server strict = UnitServer(8, DedupPolicy::kStrict);
   Server idempotent = UnitServer(8, DedupPolicy::kIdempotent);
-  EXPECT_FALSE(strict.Merge(idempotent).ok());
   EXPECT_FALSE(idempotent.MergeAggregatesOnly(strict).ok());
+  EXPECT_FALSE(strict.MergeAggregatesOnly(idempotent).ok());
+  EXPECT_FALSE(
+      testsupport::MergeShards(std::move(strict), std::move(idempotent)).ok());
 }
 
 TEST(DedupPolicyTest, MergeCarriesBoundaryBitmapsAcross) {
@@ -116,12 +120,13 @@ TEST(DedupPolicyTest, MergeCarriesBoundaryBitmapsAcross) {
   ASSERT_TRUE(b.RegisterClient(2, 0).ok());
   ASSERT_TRUE(a.SubmitReport(1, 3, 1).ok());
   ASSERT_TRUE(b.SubmitReport(2, 4, -1).ok());
-  ASSERT_TRUE(a.Merge(b).ok());
+  Server merged =
+      testsupport::MergeShards(std::move(a), std::move(b)).ValueOrDie();
   // The merged server must remember what either side already saw.
-  ASSERT_TRUE(a.SubmitReport(1, 3, 1).ok());
-  ASSERT_TRUE(a.SubmitReport(2, 4, -1).ok());
-  EXPECT_EQ(a.duplicates_dropped(), 2);
-  EXPECT_EQ(a.EstimateAt(4).ValueOrDie(), 0.0);  // +1 - 1, no double count
+  ASSERT_TRUE(merged.SubmitReport(1, 3, 1).ok());
+  ASSERT_TRUE(merged.SubmitReport(2, 4, -1).ok());
+  EXPECT_EQ(merged.duplicates_dropped(), 2);
+  EXPECT_EQ(merged.EstimateAt(4).ValueOrDie(), 0.0);  // +1 - 1, no double count
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +156,8 @@ Traffic GenerateTraffic(uint64_t seed, int64_t users) {
       states[static_cast<size_t>(u)] =
           (t >= (u % 16) + 1 && t < (u % 16) + 9) ? int8_t{1} : int8_t{0};
     }
-    traffic.batches.push_back(fleet.AdvanceTick(states).ValueOrDie());
+    EXPECT_TRUE(
+        fleet.AdvanceTick(states, &traffic.batches.emplace_back()).ok());
   }
   return traffic;
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "futurerand/core/server.h"
 #include "futurerand/core/snapshot.h"
 #include "futurerand/core/wire.h"
+#include "testsupport/merge_shards.h"
 
 namespace futurerand::core {
 namespace {
@@ -309,21 +311,23 @@ TEST(DedupWindowPolicyTest, AggregatorReportsOutOfWindowInOutcome) {
 }
 
 TEST(DedupWindowPolicyTest, MergeRequiresMatchingWindows) {
-  Server a =
-      UnitServer(512, DedupPolicy::kIdempotent, DedupWindowPolicy{32});
-  Server b = UnitServer(512, DedupPolicy::kIdempotent);
-  EXPECT_FALSE(a.Merge(b).ok());
-  Server c =
-      UnitServer(512, DedupPolicy::kIdempotent, DedupWindowPolicy{32});
+  const auto windowed = [] {
+    return UnitServer(512, DedupPolicy::kIdempotent, DedupWindowPolicy{32});
+  };
+  EXPECT_FALSE(testsupport::MergeShards(
+                   windowed(), UnitServer(512, DedupPolicy::kIdempotent))
+                   .ok());
+  Server c = windowed();
   ASSERT_TRUE(c.RegisterClient(7, 0).ok());
   ASSERT_TRUE(c.SubmitReport(7, 512, 1).ok());
   ASSERT_TRUE(c.SubmitReport(7, 1, 1).ok());  // evicted -> counted
   EXPECT_EQ(c.out_of_window_dropped(), 1);
-  ASSERT_TRUE(a.Merge(c).ok());
-  EXPECT_EQ(a.out_of_window_dropped(), 1);
+  Server merged =
+      testsupport::MergeShards(windowed(), std::move(c)).ValueOrDie();
+  EXPECT_EQ(merged.out_of_window_dropped(), 1);
   // The merged-in watermark still drops the straggler.
-  EXPECT_TRUE(a.SubmitReport(7, 2, 1).ok());
-  EXPECT_EQ(a.out_of_window_dropped(), 2);
+  EXPECT_TRUE(merged.SubmitReport(7, 2, 1).ok());
+  EXPECT_EQ(merged.out_of_window_dropped(), 2);
 }
 
 }  // namespace

@@ -48,6 +48,13 @@ uint64_t ClientSeed(uint64_t base_seed, int64_t client_id) {
   return Rng(base_seed).Fork(static_cast<uint64_t>(client_id)).NextUint64();
 }
 
+// One tick through the fleet's single entry point; fails the test on error.
+ReportBatch Tick(ClientFleet& fleet, std::span<const int8_t> states) {
+  ReportBatch batch;
+  EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+  return batch;
+}
+
 // Fleet sizes for the twin and validation sweeps: 1 and 3 are below any
 // vector width the compiler may pick for the tick's column loops, 63/64/65
 // bracket a multiple of every such width, and 1000 runs steady state plus
@@ -88,10 +95,13 @@ TEST_P(FleetKindTest, MatchesPerClientLoopBitExactly) {
       }
 
       ASSERT_EQ(fleet.size(), n);
+      const std::vector<RegistrationMessage> registrations =
+          fleet.registrations();
+      ASSERT_EQ(static_cast<int64_t>(registrations.size()), n);
       for (int64_t u = 0; u < n; ++u) {
         EXPECT_EQ(fleet.level(u), clients[static_cast<size_t>(u)].level())
             << u;
-        EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
+        EXPECT_EQ(registrations[static_cast<size_t>(u)],
                   (RegistrationMessage{u, clients[static_cast<size_t>(u)]
                                               .level()}));
       }
@@ -161,9 +171,7 @@ TEST_P(FleetKindTest, PooledMatchesSingleThreaded) {
         states[static_cast<size_t>(u)] =
             PatternState(u, t, config.num_periods);
       }
-      const ReportBatch a = pooled.AdvanceTick(states).ValueOrDie();
-      const ReportBatch b = serial.AdvanceTick(states).ValueOrDie();
-      EXPECT_EQ(a, b) << "tick " << t;
+      EXPECT_EQ(Tick(pooled, states), Tick(serial, states)) << "tick " << t;
     }
     EXPECT_EQ(pooled.changes_seen(), serial.changes_seen());
   }
@@ -261,30 +269,6 @@ INSTANTIATE_TEST_SUITE_P(AllRandomizers, FleetKindTest,
                            return rand::RandomizerKindToString(info.param);
                          });
 
-TEST(FleetTest, DerivativeVariantMatchesStateVariant) {
-  const ProtocolConfig config =
-      TestConfig(rand::RandomizerKind::kFutureRand, 16, 2);
-  const int64_t n = 40;
-  ClientFleet by_state = ClientFleet::Create(config, n, 5).ValueOrDie();
-  ClientFleet by_derivative = ClientFleet::Create(config, n, 5).ValueOrDie();
-
-  std::vector<int8_t> states(static_cast<size_t>(n), 0);
-  std::vector<int8_t> previous(static_cast<size_t>(n), 0);
-  std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
-  for (int64_t t = 1; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      const auto i = static_cast<size_t>(u);
-      states[i] = PatternState(u, t, config.num_periods);
-      derivatives[i] = static_cast<int8_t>(states[i] - previous[i]);
-      previous[i] = states[i];
-    }
-    const ReportBatch a = by_state.AdvanceTick(states).ValueOrDie();
-    const ReportBatch b =
-        by_derivative.AdvanceTickDerivatives(derivatives).ValueOrDie();
-    EXPECT_EQ(a, b) << "tick " << t;
-  }
-}
-
 TEST(FleetTest, FirstClientIdOffsetsIdsButNotRandomness) {
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kIndependent, 16, 2);
@@ -295,10 +279,11 @@ TEST(FleetTest, FirstClientIdOffsetsIdsButNotRandomness) {
   ClientFleet fleet =
       ClientFleet::Create(config, n, 9, nullptr, /*first_client_id=*/100)
           .ValueOrDie();
+  const std::vector<RegistrationMessage> registrations = fleet.registrations();
   for (int64_t u = 0; u < n; ++u) {
     const Client client =
         Client::Create(config, ClientSeed(9, 100 + u)).ValueOrDie();
-    EXPECT_EQ(fleet.registrations()[static_cast<size_t>(u)],
+    EXPECT_EQ(registrations[static_cast<size_t>(u)],
               (RegistrationMessage{100 + u, client.level()}));
   }
 }
@@ -316,19 +301,13 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
   // A bad state in the middle of the span.
   std::vector<int8_t> bad = {0, 1, 2, 0};
   EXPECT_FALSE(fleet.AdvanceTick(bad, &batch).ok());
-  // Bad derivatives: out of range, and one that exits {0,1}.
-  std::vector<int8_t> bad_derivative = {0, 2, 0, 0};
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(bad_derivative, &batch).ok());
-  std::vector<int8_t> exits = {0, 0, -1, 0};
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(exits, &batch).ok());
   EXPECT_EQ(fleet.current_time(), 0);
 
-  // After all those rejected calls the fleet is still bit-identical to one
+  // After those rejected calls the fleet is still bit-identical to one
   // that never saw them.
   std::vector<int8_t> good = {1, 0, 1, 0};
   for (int64_t t = 1; t <= config.num_periods; ++t) {
-    EXPECT_EQ(fleet.AdvanceTick(good).ValueOrDie(),
-              untouched.AdvanceTick(good).ValueOrDie());
+    EXPECT_EQ(Tick(fleet, good), Tick(untouched, good));
   }
   // And the clock is exhausted.
   EXPECT_FALSE(fleet.AdvanceTick(good, &batch).ok());
@@ -337,58 +316,50 @@ TEST(FleetTest, ValidatesInputsBeforeMutatingAnything) {
   // position of an otherwise valid tick, across sizes on both sides of
   // every vector width. Each rejected call must leave its fleet equal to
   // an untouched twin for the rest of the horizon.
-  using Tick = Status (ClientFleet::*)(std::span<const int8_t>, ReportBatch*);
-  auto expect_rejected = [&](int64_t n, Tick tick,
-                             const std::vector<int8_t>& poisoned) {
-    ClientFleet poisoned_fleet = ClientFleet::Create(config, n, 3).ValueOrDie();
-    ClientFleet twin = ClientFleet::Create(config, n, 3).ValueOrDie();
-    // One good tick first, so some current states are 1.
-    std::vector<int8_t> states(static_cast<size_t>(n));
-    for (int64_t u = 0; u < n; ++u) {
-      states[static_cast<size_t>(u)] = static_cast<int8_t>(u % 2);
-    }
-    ASSERT_EQ(poisoned_fleet.AdvanceTick(states).ValueOrDie(),
-              twin.AdvanceTick(states).ValueOrDie());
-
-    ReportBatch rejected;
-    EXPECT_EQ((poisoned_fleet.*tick)(poisoned, &rejected).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(poisoned_fleet.current_time(), 1);
-    EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen());
-    EXPECT_EQ(poisoned_fleet.reports_emitted(), twin.reports_emitted());
-    // Continue by derivatives, which read the current-state column
-    // directly, so a partial write to it would show.
-    std::vector<int8_t> derivatives(static_cast<size_t>(n));
-    for (int64_t t = 2; t <= config.num_periods; ++t) {
-      for (int64_t u = 0; u < n; ++u) {
-        derivatives[static_cast<size_t>(u)] =
-            static_cast<int8_t>((u + t) % 2 == 0 ? 1 : -1);
-      }
-      EXPECT_EQ(poisoned_fleet.AdvanceTickDerivatives(derivatives)
-                    .ValueOrDie(),
-                twin.AdvanceTickDerivatives(derivatives).ValueOrDie())
-          << "t=" << t;
-      EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen());
-    }
-  };
   for (const int64_t n : kSweepSizes) {
     for (const int64_t position : {int64_t{0}, n / 2, n - 1}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " position=" + std::to_string(position));
-      const auto p = static_cast<size_t>(position);
-      for (const int8_t state : {int8_t{2}, int8_t{-1}, int8_t{127},
-                                 int8_t{-128}}) {
-        std::vector<int8_t> states(static_cast<size_t>(n), 0);
-        states[p] = state;
-        expect_rejected(n, &ClientFleet::AdvanceTick, states);
+      for (const int8_t poison : {int8_t{2}, int8_t{-1}, int8_t{127},
+                                  int8_t{-128}}) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " position=" + std::to_string(position) +
+                     " poison=" + std::to_string(poison));
+        ClientFleet poisoned_fleet =
+            ClientFleet::Create(config, n, 3).ValueOrDie();
+        ClientFleet twin = ClientFleet::Create(config, n, 3).ValueOrDie();
+        // One good tick first: client u's state is now u % 2.
+        std::vector<int8_t> states(static_cast<size_t>(n));
+        for (int64_t u = 0; u < n; ++u) {
+          states[static_cast<size_t>(u)] = static_cast<int8_t>(u % 2);
+        }
+        ASSERT_EQ(Tick(poisoned_fleet, states), Tick(twin, states));
+
+        // Every valid byte of the rejected tick flips its client's state,
+        // so a write of any byte of it into the state columns shows below.
+        std::vector<int8_t> poisoned(static_cast<size_t>(n));
+        for (int64_t u = 0; u < n; ++u) {
+          poisoned[static_cast<size_t>(u)] = static_cast<int8_t>(1 - u % 2);
+        }
+        poisoned[static_cast<size_t>(position)] = poison;
+        ReportBatch rejected;
+        EXPECT_EQ(poisoned_fleet.AdvanceTick(poisoned, &rejected).code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_EQ(poisoned_fleet.current_time(), 1);
+        EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen());
+        EXPECT_EQ(poisoned_fleet.reports_emitted(), twin.reports_emitted());
+        // Continue with states (u + t) % 2. At t = 2 that is u % 2 again,
+        // no change for the twin: a partial write to the current-state
+        // column would show in the change count, one to the boundary
+        // column in the reports.
+        for (int64_t t = 2; t <= config.num_periods; ++t) {
+          for (int64_t u = 0; u < n; ++u) {
+            states[static_cast<size_t>(u)] = static_cast<int8_t>((u + t) % 2);
+          }
+          EXPECT_EQ(Tick(poisoned_fleet, states), Tick(twin, states))
+              << "t=" << t;
+          EXPECT_EQ(poisoned_fleet.changes_seen(), twin.changes_seen())
+              << "t=" << t;
+        }
       }
-      // Out of range, and in range but leaving {0,1}: after the good
-      // tick client u's state is u % 2, so +1 or -1 by parity exits.
-      std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
-      derivatives[p] = 2;
-      expect_rejected(n, &ClientFleet::AdvanceTickDerivatives, derivatives);
-      derivatives[p] = position % 2 == 1 ? int8_t{1} : int8_t{-1};
-      expect_rejected(n, &ClientFleet::AdvanceTickDerivatives, derivatives);
     }
   }
 }
@@ -413,85 +384,13 @@ TEST(FleetTest, PoisonedConfigReturnsFirstErrorPooledAndSerial) {
   EXPECT_EQ(pooled.status().ToString(), serial.status().ToString());
 }
 
-TEST(FleetTest, FailedDerivativeTickLeavesFleetByteIdentical) {
-  // Regression: AdvanceTickDerivatives used to fill its next-state scratch
-  // element by element while validating, so a vector with a valid prefix
-  // and one bad entry left partial work behind. Validation is now a
-  // read-only pass over the whole tick; a failed call must leave the fleet
-  // indistinguishable from a twin that never saw it.
-  const ProtocolConfig config =
-      TestConfig(rand::RandomizerKind::kFutureRand, 16, 3);
-  const int64_t n = 70;
-  ClientFleet fleet = ClientFleet::Create(config, n, 11).ValueOrDie();
-  ClientFleet twin = ClientFleet::Create(config, n, 11).ValueOrDie();
-
-  // A few good derivative ticks first, so the internal state is nontrivial.
-  std::vector<int8_t> derivatives(static_cast<size_t>(n), 0);
-  for (int64_t t = 1; t <= 3; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      derivatives[static_cast<size_t>(u)] = static_cast<int8_t>(
-          PatternState(u, t, 16) - PatternState(u, t - 1, 16));
-    }
-    ASSERT_EQ(fleet.AdvanceTickDerivatives(derivatives).ValueOrDie(),
-              twin.AdvanceTickDerivatives(derivatives).ValueOrDie());
-  }
-
-  // Valid prefix, bad tail: every element before the last is a legal step,
-  // the last is out of range — the old code had done n-1 elements of work
-  // by the time it noticed.
-  std::vector<int8_t> poisoned(static_cast<size_t>(n), 0);
-  poisoned.back() = 2;
-  ReportBatch batch;
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(poisoned, &batch).ok());
-  // And one that exits {0,1} only at the very end.
-  std::vector<int8_t> exits(static_cast<size_t>(n), 0);
-  exits.back() = static_cast<int8_t>(PatternState(n - 1, 3, 16) == 1 ? 1 : -1);
-  EXPECT_FALSE(fleet.AdvanceTickDerivatives(exits, &batch).ok());
-  EXPECT_EQ(fleet.current_time(), 3);
-
-  // The rejected calls consumed nothing: both fleets emit bit-identical
-  // reports for the rest of the horizon.
-  for (int64_t t = 4; t <= config.num_periods; ++t) {
-    for (int64_t u = 0; u < n; ++u) {
-      derivatives[static_cast<size_t>(u)] = static_cast<int8_t>(
-          PatternState(u, t, 16) - PatternState(u, t - 1, 16));
-    }
-    EXPECT_EQ(fleet.AdvanceTickDerivatives(derivatives).ValueOrDie(),
-              twin.AdvanceTickDerivatives(derivatives).ValueOrDie())
-        << "t=" << t;
-  }
-}
-
-TEST(FleetTest, EncodedConveniencesMatchSeparateCalls) {
-  const ProtocolConfig config =
-      TestConfig(rand::RandomizerKind::kFutureRand, /*d=*/16, /*k=*/2);
-  ClientFleet fleet = ClientFleet::Create(config, 12, 7).ValueOrDie();
-  ClientFleet reference = ClientFleet::Create(config, 12, 7).ValueOrDie();
-  EXPECT_EQ(fleet.EncodeRegistrations(),
-            EncodeRegistrationBatch(reference.registrations(),
-                                    WireVersion::kV2));
-  std::vector<int8_t> states(12, 0);
-  for (int64_t t = 1; t <= 4; ++t) {
-    for (int64_t u = 0; u < 12; ++u) {
-      states[static_cast<size_t>(u)] = PatternState(u, t, 16);
-    }
-    const auto encoded = fleet.AdvanceTickEncoded(states);
-    ASSERT_TRUE(encoded.ok());
-    const auto batch = reference.AdvanceTick(states);
-    ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(*encoded, *EncodeReportBatch(*batch, WireVersion::kV2));
-    EXPECT_EQ(*DecodeReportBatch(*encoded), *batch);
-  }
-  EXPECT_EQ(fleet.current_time(), 4);
-}
-
 TEST(FleetTest, EmptyFleetIsValid) {
   const ProtocolConfig config =
       TestConfig(rand::RandomizerKind::kFutureRand, 8, 1);
   ClientFleet fleet = ClientFleet::Create(config, 0, 1).ValueOrDie();
   EXPECT_EQ(fleet.size(), 0);
   EXPECT_TRUE(fleet.registrations().empty());
-  const ReportBatch batch = fleet.AdvanceTick({}).ValueOrDie();
+  const ReportBatch batch = Tick(fleet, {});
   EXPECT_TRUE(batch.empty());
 }
 

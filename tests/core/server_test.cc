@@ -1,15 +1,19 @@
 #include "futurerand/core/server.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/common/math.h"
 #include "futurerand/randomizer/randomizer.h"
+#include "testsupport/merge_shards.h"
 
 namespace futurerand::core {
 namespace {
+
+using testsupport::MergeShards;
 
 ProtocolConfig TestConfig(int64_t d = 8, int64_t k = 2, double eps = 1.0) {
   ProtocolConfig config;
@@ -121,31 +125,37 @@ TEST(ServerTest, MergeCombinesSumsAndClients) {
   ASSERT_TRUE(b.RegisterClient(2, 0).ok());
   ASSERT_TRUE(a.SubmitReport(1, 1, 1).ok());
   ASSERT_TRUE(b.SubmitReport(2, 1, 1).ok());
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.num_clients(), 2);
-  EXPECT_DOUBLE_EQ(a.EstimateAt(1).ValueOrDie(), 2.0);
+  const Server merged = MergeShards(std::move(a), std::move(b)).ValueOrDie();
+  EXPECT_EQ(merged.num_clients(), 2);
+  EXPECT_DOUBLE_EQ(merged.EstimateAt(1).ValueOrDie(), 2.0);
 }
 
 TEST(ServerTest, MergeRejectsDifferentShapes) {
   Server a = UnitServer(4);
-  Server b = UnitServer(8);
-  EXPECT_FALSE(a.Merge(b).ok());
-  Server c = Server::WithScales(4, {2.0, 2.0, 2.0}).ValueOrDie();
-  EXPECT_FALSE(a.Merge(c).ok());
+  EXPECT_FALSE(a.MergeAggregatesOnly(UnitServer(8)).ok());
+  const auto scaled = [] {
+    return Server::WithScales(4, {2.0, 2.0, 2.0}).ValueOrDie();
+  };
+  EXPECT_FALSE(a.MergeAggregatesOnly(scaled()).ok());
+  EXPECT_FALSE(MergeShards(UnitServer(4), UnitServer(8)).ok());
+  EXPECT_FALSE(MergeShards(UnitServer(4), scaled()).ok());
 }
 
 TEST(ServerTest, MergeAggregatesOnlyMatchesFullMergeEstimates) {
-  Server full = UnitServer(8);
+  const auto make_shard = [] {
+    Server shard = UnitServer(8);
+    EXPECT_TRUE(shard.RegisterClient(1, 0).ok());
+    EXPECT_TRUE(shard.RegisterClient(2, 1).ok());
+    for (int64_t t = 1; t <= 8; ++t) {
+      EXPECT_TRUE(shard.SubmitReport(1, t, (t % 2 == 0) ? 1 : -1).ok());
+    }
+    EXPECT_TRUE(shard.SubmitReport(2, 4, 1).ok());
+    return shard;
+  };
+  // The full merge carries the per-client state as well.
+  const Server full = MergeShards(UnitServer(8), make_shard()).ValueOrDie();
   Server aggregates = UnitServer(8);
-  Server shard = UnitServer(8);
-  ASSERT_TRUE(shard.RegisterClient(1, 0).ok());
-  ASSERT_TRUE(shard.RegisterClient(2, 1).ok());
-  for (int64_t t = 1; t <= 8; ++t) {
-    ASSERT_TRUE(shard.SubmitReport(1, t, (t % 2 == 0) ? 1 : -1).ok());
-  }
-  ASSERT_TRUE(shard.SubmitReport(2, 4, 1).ok());
-  ASSERT_TRUE(full.Merge(shard).ok());
-  ASSERT_TRUE(aggregates.MergeAggregatesOnly(shard).ok());
+  ASSERT_TRUE(aggregates.MergeAggregatesOnly(make_shard()).ok());
   // Identical across the whole query surface, including the level counts
   // that feed consistency weighting — only the per-client registration
   // bookkeeping is skipped.
@@ -167,13 +177,17 @@ TEST(ServerTest, MergeRejectsMismatchedLevelScales) {
   Server b = Server::WithScales(4, {1.0, 2.0, 1.0}).ValueOrDie();
   ASSERT_TRUE(b.RegisterClient(1, 0).ok());
   ASSERT_TRUE(b.SubmitReport(1, 1, 1).ok());
-  const Status status = a.Merge(b);
+  const Status status = a.MergeAggregatesOnly(b);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("level scales"), std::string::npos);
   // The refused merge must not have absorbed anything.
-  EXPECT_EQ(a.num_clients(), 0);
+  EXPECT_EQ(a.ClientCountAtLevel(0), 0);
   EXPECT_DOUBLE_EQ(a.EstimateAt(1).ValueOrDie(), 0.0);
+  // Merging the client state refuses the same way.
+  const Status merged = MergeShards(std::move(a), std::move(b)).status();
+  EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(merged.message().find("level scales"), std::string::npos);
 }
 
 TEST(ServerTest, MergeRejectsDuplicateClientIds) {
@@ -181,7 +195,7 @@ TEST(ServerTest, MergeRejectsDuplicateClientIds) {
   Server b = UnitServer(4);
   ASSERT_TRUE(a.RegisterClient(1, 0).ok());
   ASSERT_TRUE(b.RegisterClient(1, 0).ok());
-  EXPECT_FALSE(a.Merge(b).ok());
+  EXPECT_FALSE(MergeShards(std::move(a), std::move(b)).ok());
 }
 
 TEST(ServerTest, WindowDeltaValidatesRange) {
@@ -287,9 +301,10 @@ TEST(ServerStoreTest, MergeRejectsMismatchedStoreConfigs) {
       Server::WithScales(8, scales, DedupPolicy::kStrict, {},
                          StoreConfig::Sketch(3, 64, 8))
           .ValueOrDie();
-  EXPECT_FALSE(dense.Merge(sketched).ok());
-  EXPECT_FALSE(sketched.Merge(other_seed).ok());
+  EXPECT_FALSE(dense.MergeAggregatesOnly(sketched).ok());
+  EXPECT_FALSE(sketched.MergeAggregatesOnly(other_seed).ok());
   EXPECT_FALSE(sketched.MergeAggregatesOnly(dense).ok());
+  EXPECT_FALSE(MergeShards(std::move(dense), std::move(sketched)).ok());
 }
 
 TEST(ServerStoreTest, SketchServerEstimatesExactlyInTheWideRegime) {

@@ -184,7 +184,8 @@ Traffic GenerateTraffic(uint64_t seed, int64_t users) {
       states[static_cast<size_t>(u)] =
           (t >= (u % 12) + 2 && t < (u % 12) + 14) ? int8_t{1} : int8_t{0};
     }
-    traffic.batches.push_back(fleet.AdvanceTick(states).ValueOrDie());
+    EXPECT_TRUE(
+        fleet.AdvanceTick(states, &traffic.batches.emplace_back()).ok());
   }
   return traffic;
 }

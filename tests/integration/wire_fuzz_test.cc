@@ -126,11 +126,12 @@ ValidPayloads MakePayloads(uint64_t seed) {
                                          kLongitudinalFleetSize, seed + 99)
                    .ValueOrDie();
   std::vector<int8_t> states(kLongitudinalFleetSize);
+  core::ReportBatch batch;
   for (int64_t t = 1; t <= 5; ++t) {
     for (int64_t u = 0; u < kLongitudinalFleetSize; ++u) {
       states[static_cast<size_t>(u)] = static_cast<int8_t>((u + t / 2) % 2);
     }
-    EXPECT_TRUE(fleet.AdvanceTickEncoded(states).ok());
+    EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
   }
   ValidPayloads payloads;
   payloads.server_state_direct = EncodeServerState(direct_server);

@@ -16,6 +16,7 @@
 
 #include "futurerand/core/config.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 
 namespace futurerand::rand {
 namespace {
@@ -219,11 +220,19 @@ std::vector<int8_t> TickStates(int64_t n, int64_t t) {
   return states;
 }
 
+// One tick's reports as wire bytes.
+std::string TickEncoded(core::ClientFleet& fleet,
+                        const std::vector<int8_t>& states) {
+  core::ReportBatch batch;
+  EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+  return core::EncodeReportBatch(batch).ValueOrDie();
+}
+
 TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
   const int64_t n = 50;
   auto fleet = core::ClientFleet::Create(FleetConfig(), n, 41).ValueOrDie();
   for (int64_t t = 1; t <= 12; ++t) {
-    ASSERT_TRUE(fleet.AdvanceTickEncoded(TickStates(n, t)).ok());
+    TickEncoded(fleet, TickStates(n, t));
   }
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
 
@@ -237,8 +246,7 @@ TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
   EXPECT_EQ(restored.changes_seen(), fleet.changes_seen());
   for (int64_t t = 13; t <= 32; ++t) {
     const auto states = TickStates(n, t);
-    EXPECT_EQ(restored.AdvanceTickEncoded(states).ValueOrDie(),
-              fleet.AdvanceTickEncoded(states).ValueOrDie())
+    EXPECT_EQ(TickEncoded(restored, states), TickEncoded(fleet, states))
         << "tick " << t;
   }
   // Encoding is stable: capturing the same instant twice gives equal bytes.
@@ -249,7 +257,8 @@ TEST(LGrrFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
 TEST(LGrrFleetSnapshotTest, CorruptedOrMismatchedBlobsAreRejected) {
   const int64_t n = 20;
   auto fleet = core::ClientFleet::Create(FleetConfig(), n, 43).ValueOrDie();
-  ASSERT_TRUE(fleet.AdvanceTickEncoded(TickStates(n, 1)).ok());
+  core::ReportBatch batch;
+  ASSERT_TRUE(fleet.AdvanceTick(TickStates(n, 1), &batch).ok());
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
 
   std::string flipped = blob;

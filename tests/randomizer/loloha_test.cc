@@ -16,6 +16,7 @@
 
 #include "futurerand/core/config.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 
 namespace futurerand::rand {
 namespace {
@@ -163,18 +164,21 @@ TEST(LolohaFleetSnapshotTest, RestoreTicksBitIdenticallyToTheCaptured) {
       states[static_cast<size_t>(u)] = static_cast<int8_t>((u + t / 3) % 2);
     }
   };
+  core::ReportBatch batch;
+  auto tick_encoded = [&](core::ClientFleet& ticked) {
+    EXPECT_TRUE(ticked.AdvanceTick(states, &batch).ok());
+    return core::EncodeReportBatch(batch).ValueOrDie();
+  };
   for (int64_t t = 1; t <= 10; ++t) {
     fill(t);
-    ASSERT_TRUE(fleet.AdvanceTickEncoded(states).ok());
+    ASSERT_TRUE(fleet.AdvanceTick(states, &batch).ok());
   }
   const std::string blob = fleet.EncodeLongitudinalState().ValueOrDie();
   auto restored = core::ClientFleet::Create(config, n, 424242).ValueOrDie();
   ASSERT_TRUE(restored.RestoreLongitudinalState(blob).ok());
   for (int64_t t = 11; t <= 32; ++t) {
     fill(t);
-    EXPECT_EQ(restored.AdvanceTickEncoded(states).ValueOrDie(),
-              fleet.AdvanceTickEncoded(states).ValueOrDie())
-        << "tick " << t;
+    EXPECT_EQ(tick_encoded(restored), tick_encoded(fleet)) << "tick " << t;
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "futurerand/common/threadpool.h"
 #include "futurerand/core/fleet.h"
+#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
 #include "futurerand/sim/runner.h"
 #include "futurerand/sim/workload.h"
@@ -237,12 +238,16 @@ TEST_P(LongitudinalDeterminismTest, FleetStateRestoreCycleIsInvisible) {
   auto plain = core::ClientFleet::Create(config, n, 62).ValueOrDie();
   auto cycled = core::ClientFleet::Create(config, n, 62).ValueOrDie();
   std::vector<int8_t> states(static_cast<size_t>(n));
+  core::ReportBatch batch;
+  auto tick_encoded = [&](core::ClientFleet& fleet) {
+    EXPECT_TRUE(fleet.AdvanceTick(states, &batch).ok());
+    return core::EncodeReportBatch(batch).ValueOrDie();
+  };
   for (int64_t t = 1; t <= config.num_periods; ++t) {
     for (int64_t u = 0; u < n; ++u) {
       states[static_cast<size_t>(u)] = workload.trace(u).StateAt(t);
     }
-    EXPECT_EQ(plain.AdvanceTickEncoded(states).ValueOrDie(),
-              cycled.AdvanceTickEncoded(states).ValueOrDie())
+    EXPECT_EQ(tick_encoded(plain), tick_encoded(cycled))
         << ProtocolKindToString(GetParam()) << " tick " << t;
     if (t % 8 == 0) {
       // Capture and restore into a cold fleet with a different base seed:
