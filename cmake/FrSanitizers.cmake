@@ -21,3 +21,9 @@ string(REPLACE ";" "," _fr_sanitizer_flag "${_fr_sanitizers}")
 message(STATUS "Sanitizers enabled: ${_fr_sanitizer_flag}")
 add_compile_options(-fsanitize=${_fr_sanitizer_flag} -fno-omit-frame-pointer)
 add_link_options(-fsanitize=${_fr_sanitizer_flag})
+if("undefined" IN_LIST _fr_sanitizers)
+  # A UBSan report aborts the process, so undefined behaviour fails the
+  # test that hit it instead of only printing a diagnostic.
+  add_compile_options(-fno-sanitize-recover=undefined)
+  add_link_options(-fno-sanitize-recover=undefined)
+endif()

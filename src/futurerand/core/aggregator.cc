@@ -41,20 +41,9 @@ Status ValidateCompactEvery(CheckpointMode mode, int64_t compact_every) {
   return Status::OK();
 }
 
-ShardedAggregator::ShardedAggregator(int64_t num_periods,
-                                     std::vector<double> level_scales,
-                                     DedupPolicy dedup,
-                                     DedupWindowPolicy window,
-                                     StoreConfig store,
-                                     EstimatorSpec estimator,
-                                     std::vector<Shard> shards,
+ShardedAggregator::ShardedAggregator(std::vector<Shard> shards,
                                      Server snapshot)
-    : num_periods_(num_periods),
-      level_scales_(std::move(level_scales)),
-      dedup_policy_(dedup),
-      dedup_window_(window),
-      store_config_(store.Canonical()),
-      estimator_spec_(estimator),
+    : shape_(snapshot.shape()),
       shards_(std::move(shards)),
       checkpoint_mutex_(std::make_unique<std::mutex>()),
       snapshot_mutex_(std::make_unique<std::mutex>()),
@@ -63,39 +52,27 @@ ShardedAggregator::ShardedAggregator(int64_t num_periods,
 Result<ShardedAggregator> ShardedAggregator::ForProtocol(
     const ProtocolConfig& config, int num_shards, DedupPolicy dedup,
     DedupWindowPolicy window) {
-  FR_ASSIGN_OR_RETURN(std::vector<double> scales,
-                      ProtocolLevelScales(config));
-  FR_ASSIGN_OR_RETURN(EstimatorSpec estimator, ProtocolEstimatorSpec(config));
-  return WithScales(config.num_periods, std::move(scales), num_shards, dedup,
-                    window, config.store, estimator);
+  FR_ASSIGN_OR_RETURN(ServerShape shape,
+                      ServerShape::ForProtocol(config, dedup, window));
+  return Create(std::move(shape), num_shards);
 }
 
-Result<ShardedAggregator> ShardedAggregator::WithScales(
-    int64_t num_periods, std::vector<double> level_scales, int num_shards,
-    DedupPolicy dedup, DedupWindowPolicy window, StoreConfig store,
-    EstimatorSpec estimator) {
+Result<ShardedAggregator> ShardedAggregator::Create(ServerShape shape,
+                                                    int num_shards) {
   if (num_shards < 1) {
     return Status::InvalidArgument("need at least one shard");
   }
   std::vector<Shard> shards;
   shards.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    FR_ASSIGN_OR_RETURN(
-        Server server,
-        Server::WithScales(num_periods, level_scales, dedup, window, store,
-                           estimator));
+    FR_ASSIGN_OR_RETURN(Server server, Server::Create(shape));
     shards.push_back(Shard{std::make_unique<std::mutex>(),
                            std::move(server)});
   }
-  // The snapshot shares the policy and store so MergeAggregatesOnly stays
-  // compatible; it never ingests, so the policy is otherwise inert there.
-  FR_ASSIGN_OR_RETURN(
-      Server snapshot,
-      Server::WithScales(num_periods, level_scales, dedup, window, store,
-                         estimator));
-  return ShardedAggregator(num_periods, std::move(level_scales), dedup,
-                           window, store, estimator, std::move(shards),
-                           std::move(snapshot));
+  // The snapshot shares the shape so MergeAggregatesOnly stays compatible;
+  // it never ingests, so the dedup policy is otherwise inert there.
+  FR_ASSIGN_OR_RETURN(Server snapshot, Server::Create(std::move(shape)));
+  return ShardedAggregator(std::move(shards), std::move(snapshot));
 }
 
 int ShardedAggregator::ShardIndex(int64_t client_id) const {
@@ -123,47 +100,38 @@ Status ShardedAggregator::IngestBatch(std::span<const Message> batch,
   // batch; per-shard record order is preserved (the counting sort below is
   // stable), which keeps Server's monotone-report-time validation
   // meaningful. One flat index array + per-shard offsets instead of a
-  // vector-of-vectors: a single allocation, written sequentially. With one
-  // shard the whole batch already belongs to it, so the sort (and the two
-  // extra memory passes it costs on a large batch) is skipped entirely and
-  // `apply` sees indices == nullptr, meaning the identity over the batch.
+  // vector-of-vectors: a single allocation, written sequentially.
   const size_t num_shards = shards_.size();
-  std::vector<size_t> index_by_shard;
   std::vector<size_t> offsets(num_shards + 1, 0);
-  if (num_shards == 1) {
-    offsets[1] = batch.size();
-  } else {
-    std::vector<uint32_t> shard_of(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const auto s = static_cast<uint32_t>(ShardIndex(batch[i].client_id));
-      shard_of[i] = s;
-      ++offsets[s + 1];
-    }
-    for (size_t s = 0; s < num_shards; ++s) {
-      offsets[s + 1] += offsets[s];
-    }
-    index_by_shard.resize(batch.size());
-    std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      index_by_shard[cursor[shard_of[i]]++] = i;
-    }
+  std::vector<uint32_t> shard_of(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto s = static_cast<uint32_t>(ShardIndex(batch[i].client_id));
+    shard_of[i] = s;
+    ++offsets[s + 1];
+  }
+  for (size_t s = 0; s < num_shards; ++s) {
+    offsets[s + 1] += offsets[s];
+  }
+  std::vector<size_t> index_by_shard(batch.size());
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    index_by_shard[cursor[shard_of[i]]++] = i;
   }
   std::vector<Status> shard_status(num_shards);
   std::vector<IngestOutcome> shard_outcome(num_shards);
   auto ingest_shard = [&](size_t s) {
-    const size_t count = offsets[s + 1] - offsets[s];
-    if (count == 0) {
+    const std::span<const size_t> indices(index_by_shard.data() + offsets[s],
+                                          offsets[s + 1] - offsets[s]);
+    if (indices.empty()) {
       return;
     }
-    const size_t* indices =
-        num_shards == 1 ? nullptr : index_by_shard.data() + offsets[s];
     Shard& shard = shards_[s];
     const std::lock_guard<std::mutex> lock(*shard.mutex);
     const int64_t dropped_before = shard.server.duplicates_dropped();
     const int64_t stale_before = shard.server.out_of_window_dropped();
     int64_t accepted = 0;
     {
-      Status status = apply(shard.server, indices, count, &accepted);
+      Status status = apply(shard.server, indices, &accepted);
       if (!status.ok()) {
         shard_status[s] = std::move(status);
       }
@@ -219,11 +187,10 @@ Status ShardedAggregator::IngestRegistrations(
     IngestOutcome* outcome) {
   return IngestBatch(
       batch, pool, outcome,
-      [&batch](Server& server, const size_t* indices, size_t count,
+      [&batch](Server& server, std::span<const size_t> indices,
                int64_t* accepted) {
-        for (size_t i = 0; i < count; ++i) {
-          const RegistrationMessage& message =
-              batch[indices == nullptr ? i : indices[i]];
+        for (const size_t index : indices) {
+          const RegistrationMessage& message = batch[index];
           FR_RETURN_NOT_OK(
               server.RegisterClient(message.client_id, message.level));
           ++*accepted;
@@ -239,15 +206,9 @@ Status ShardedAggregator::IngestReports(std::span<const ReportMessage> batch,
   // so a shard's dyadic counters are touched once per (level, time) instead
   // of once per record.
   return IngestBatch(batch, pool, outcome,
-                     [&batch](Server& server, const size_t* indices,
-                              size_t count, int64_t* accepted) {
-                       if (indices == nullptr) {
-                         return server.SubmitReports(batch.first(count),
-                                                     accepted);
-                       }
-                       return server.SubmitReports(
-                           batch, std::span<const size_t>(indices, count),
-                           accepted);
+                     [&batch](Server& server, std::span<const size_t> indices,
+                              int64_t* accepted) {
+                       return server.SubmitReports(batch, indices, accepted);
                      });
 }
 
@@ -341,29 +302,11 @@ Result<std::string> ShardedAggregator::Checkpoint(CheckpointMode mode) {
 Result<Server> ShardedAggregator::DecodeAndValidateShard(
     std::string_view state) const {
   FR_ASSIGN_OR_RETURN(Server server, DecodeServerState(state));
-  if (server.num_periods() != num_periods_) {
-    return Status::InvalidArgument(
-        "checkpoint num_periods mismatches aggregator");
-  }
-  if (server.level_scales() != level_scales_) {
-    return Status::InvalidArgument(
-        "checkpoint level scales mismatch aggregator");
-  }
-  if (server.dedup_policy() != dedup_policy_) {
-    return Status::InvalidArgument(
-        "checkpoint dedup policy mismatches aggregator");
-  }
-  if (server.dedup_window() != dedup_window_) {
-    return Status::InvalidArgument(
-        "checkpoint dedup window mismatches aggregator");
-  }
-  if (server.store_config() != store_config_) {
-    return Status::InvalidArgument(
-        "checkpoint store config mismatches aggregator");
-  }
-  if (server.estimator() != estimator_spec_) {
-    return Status::InvalidArgument(
-        "checkpoint estimator spec mismatches aggregator");
+  if (const char* field = shape_.FirstDifference(server.shape())) {
+    std::string message = "checkpoint ";
+    message += field;
+    message += " mismatches aggregator";
+    return Status::InvalidArgument(message);
   }
   return server;
 }
@@ -479,10 +422,7 @@ Status ShardedAggregator::RefreshSnapshotLocked() const {
   if (!snapshot_dirty_) {
     return Status::OK();
   }
-  FR_ASSIGN_OR_RETURN(Server fresh,
-                      Server::WithScales(num_periods_, level_scales_,
-                                         dedup_policy_, dedup_window_,
-                                         store_config_, estimator_spec_));
+  FR_ASSIGN_OR_RETURN(Server fresh, Server::Create(shape_));
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(*shard.mutex);
     // Aggregates only: the snapshot never ingests reports itself, and

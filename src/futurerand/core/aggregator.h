@@ -10,6 +10,10 @@
 // query. Estimates are bit-identical for any shard count: the shards hold
 // integer report sums, and integer addition is order-independent.
 //
+// Every shard and the merged snapshot share one ServerShape (core/server.h):
+// the aggregator holds it once, and a restored checkpoint must match it
+// field for field.
+//
 // Durability is elastic (see docs/ARCHITECTURE.md "Operations"): full
 // checkpoints serialize every shard, delta checkpoints only the shards
 // dirtied since the previous one, and Restore() accepts either — including
@@ -97,30 +101,23 @@ Status ValidateCompactEvery(CheckpointMode mode, int64_t compact_every);
 /// after an ingest returns sees all of it.
 class ShardedAggregator {
  public:
-  /// Builds `num_shards` Server shards (>= 1) for the protocol
-  /// configuration, with the exact per-level debiasing scales; every shard
-  /// holds its counters in the aggregate store config.store selects (dense
-  /// by default, count-sketch for huge domains — see core/store.h). With
-  /// DedupPolicy::kIdempotent, at-least-once delivery (duplicates, retries,
-  /// reordering) produces estimates bit-identical to exactly-once; `window`
-  /// optionally bounds the per-client dedup memory (see DedupWindowPolicy).
-  /// Invalid sketch parameters fail here, at construction time.
+  /// Create(ServerShape::ForProtocol(config, dedup, window), num_shards):
+  /// the protocol's exact debiasing scales over the store config.store
+  /// selects (dense by default, count-sketch for huge domains — see
+  /// core/store.h). With DedupPolicy::kIdempotent, at-least-once delivery
+  /// (duplicates, retries, reordering) produces estimates bit-identical to
+  /// exactly-once; `window` optionally bounds the per-client dedup memory
+  /// (see DedupWindowPolicy).
   static Result<ShardedAggregator> ForProtocol(
       const ProtocolConfig& config, int num_shards,
       DedupPolicy dedup = DedupPolicy::kStrict,
       DedupWindowPolicy window = {});
 
-  /// Builds shards with externally supplied per-level report scales (for
-  /// baseline protocols whose estimators carry extra factors, e.g. the
-  /// Erlingsson server). `store` injects the per-shard aggregate backend
-  /// (default dense), validated at construction time like Server::WithScales.
-  /// `estimator` selects the query-time estimator every shard (and the
-  /// merged snapshot) runs — kDirect for the longitudinal protocols.
-  static Result<ShardedAggregator> WithScales(
-      int64_t num_periods, std::vector<double> level_scales, int num_shards,
-      DedupPolicy dedup = DedupPolicy::kStrict,
-      DedupWindowPolicy window = {}, StoreConfig store = {},
-      EstimatorSpec estimator = {});
+  /// Builds `num_shards` Server shards (>= 1) of one shape — also how
+  /// baseline protocols whose estimators carry extra factors (e.g. the
+  /// Erlingsson server) supply their own scales. Validated like
+  /// Server::Create; every shard and the merged query snapshot share it.
+  static Result<ShardedAggregator> Create(ServerShape shape, int num_shards);
 
   ShardedAggregator(ShardedAggregator&&) = default;
   ShardedAggregator& operator=(ShardedAggregator&&) = default;
@@ -164,11 +161,11 @@ class ShardedAggregator {
 
   /// Replaces shard state from a Checkpoint blob, full or delta.
   ///
-  /// A full blob must match this aggregator's shape (num_periods, scales,
-  /// dedup policy and window); its shard count may differ, in which case
-  /// every client's state is re-bucketed by id onto this aggregator's
-  /// shards (elastic resharding) — estimates stay bit-identical either
-  /// way, and ingestion resumes exactly where the checkpoint left off. A
+  /// A full blob must match this aggregator's shape() field for field; its
+  /// shard count may differ, in which case every client's state is
+  /// re-bucketed by id onto this aggregator's shards (elastic resharding)
+  /// — estimates stay bit-identical either way, and ingestion resumes
+  /// exactly where the checkpoint left off. A
   /// resharded restore breaks the delta chain: take a full checkpoint
   /// before the next kDelta.
   ///
@@ -198,20 +195,10 @@ class ShardedAggregator {
   Result<double> EstimateWindowDelta(int64_t l, int64_t r) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t num_periods() const { return num_periods_; }
 
-  DedupPolicy dedup_policy() const { return dedup_policy_; }
-
-  /// The dedup eviction policy every shard was built with.
-  const DedupWindowPolicy& dedup_window() const { return dedup_window_; }
-
-  /// The aggregate-store configuration every shard was built with
-  /// (canonical form). Restored checkpoints must match it.
-  const StoreConfig& store_config() const { return store_config_; }
-
-  /// The estimator every shard was built with. Restored checkpoints must
-  /// match it.
-  const EstimatorSpec& estimator() const { return estimator_spec_; }
+  /// The shape every shard was built with (store in canonical form).
+  /// Restored checkpoints must match it.
+  const ServerShape& shape() const { return shape_; }
 
   /// Registered clients, summed over shards.
   int64_t num_clients() const;
@@ -242,10 +229,7 @@ class ShardedAggregator {
     uint64_t checkpointed_version = 0;
   };
 
-  ShardedAggregator(int64_t num_periods, std::vector<double> level_scales,
-                    DedupPolicy dedup, DedupWindowPolicy window,
-                    StoreConfig store, EstimatorSpec estimator,
-                    std::vector<Shard> shards, Server snapshot);
+  ShardedAggregator(std::vector<Shard> shards, Server snapshot);
 
   // Re-merges every shard into snapshot_ if ingestion happened since the
   // last refresh. Caller holds *snapshot_mutex_.
@@ -260,16 +244,13 @@ class ShardedAggregator {
   Status RestoreFull(std::string_view bytes);
   Status RestoreDelta(std::string_view bytes);
 
+  // Groups the batch's record indices per shard and calls
+  // apply(server, indices, &accepted) once per non-empty shard.
   template <typename Message, typename Apply>
   Status IngestBatch(std::span<const Message> batch, ThreadPool* pool,
                      IngestOutcome* outcome, const Apply& apply);
 
-  int64_t num_periods_;
-  std::vector<double> level_scales_;
-  DedupPolicy dedup_policy_;
-  DedupWindowPolicy dedup_window_;
-  StoreConfig store_config_;  // canonical form
-  EstimatorSpec estimator_spec_;
+  ServerShape shape_;  // store in canonical form
   std::vector<Shard> shards_;
 
   // Checkpoint chain position, guarded by *checkpoint_mutex_ (which also

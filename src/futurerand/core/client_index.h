@@ -34,18 +34,21 @@ class ClientIndex {
     // path. The table is maintained on every Insert regardless, so the
     // first irregular id just flips this off with no rebuild.
     if (regular_) {
-      const int64_t offset = id - first_id_;
-      if (offset < 0) {
+      if (id < first_id_) {
         return -1;
       }
+      // Exact in uint64: id >= first_id_, so the distance is < 2^64.
+      const uint64_t offset =
+          static_cast<uint64_t>(id) - static_cast<uint64_t>(first_id_);
+      const auto count = static_cast<uint64_t>(size());
       if (stride_ == 1) {
-        return offset < size() ? static_cast<int32_t>(offset) : -1;
+        return offset < count ? static_cast<int32_t>(offset) : -1;
       }
       if (offset % stride_ != 0) {
         return -1;
       }
-      const int64_t slot = offset / stride_;
-      return slot < size() ? static_cast<int32_t>(slot) : -1;
+      const uint64_t slot = offset / stride_;
+      return slot < count ? static_cast<int32_t>(slot) : -1;
     }
     size_t bucket = Hash(id) & mask_;
     while (true) {
@@ -72,15 +75,18 @@ class ClientIndex {
     const auto slot = static_cast<int32_t>(ids_.size());
     if (ids_.empty()) {
       first_id_ = id;
-    } else if (ids_.size() == 1) {
-      stride_ = id - first_id_;
-      if (stride_ <= 0) {
+    } else if (regular_) {
+      // The progression holds while every id exceeds the previous one by
+      // the same step. Compared step by step (never as first + stride *
+      // size, which can overflow), so any int64 ids are safe.
+      const int64_t last = ids_.back();
+      const uint64_t step =
+          static_cast<uint64_t>(id) - static_cast<uint64_t>(last);
+      if (id <= last || (ids_.size() > 1 && step != stride_)) {
         regular_ = false;
+      } else {
+        stride_ = step;
       }
-    } else if (regular_ &&
-               id != first_id_ + stride_ * static_cast<int64_t>(
-                                               ids_.size())) {
-      regular_ = false;
     }
     ids_.push_back(id);
     size_t bucket = Hash(id) & mask_;
@@ -146,7 +152,7 @@ class ClientIndex {
   // arithmetic; the first id off the progression clears regular_ forever.
   bool regular_ = true;
   int64_t first_id_ = 0;
-  int64_t stride_ = 1;
+  uint64_t stride_ = 1;
 };
 
 }  // namespace futurerand::core

@@ -84,7 +84,7 @@ Result<std::vector<double>> ErlingssonLevelScales(
 Result<Server> MakeErlingssonServer(const ProtocolConfig& config) {
   FR_ASSIGN_OR_RETURN(std::vector<double> scales,
                       ErlingssonLevelScales(config));
-  return Server::WithScales(config.num_periods, std::move(scales));
+  return Server::Create({config.num_periods, std::move(scales)});
 }
 
 }  // namespace futurerand::core

@@ -75,7 +75,7 @@ class ErlingssonClient {
 
 /// The per-level debiasing scales of the matching server:
 /// (1 + log d) * k / c_gap at every level. Exposed so batch aggregation can
-/// build sharded servers (ShardedAggregator::WithScales) for this baseline.
+/// build sharded servers (ShardedAggregator::Create) for this baseline.
 Result<std::vector<double>> ErlingssonLevelScales(
     const ProtocolConfig& config);
 

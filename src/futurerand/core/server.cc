@@ -1,6 +1,7 @@
 #include "futurerand/core/server.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include <algorithm>
@@ -14,17 +15,10 @@
 
 namespace futurerand::core {
 
-Server::Server(int64_t num_periods, std::vector<double> level_scales,
-               DedupPolicy policy, DedupWindowPolicy window,
-               StoreConfig store, EstimatorSpec estimator)
-    : dedup_policy_(policy),
-      dedup_window_(window),
-      level_scales_(std::move(level_scales)),
-      num_periods_(num_periods),
-      store_config_(store.Canonical()),
-      estimator_spec_(estimator),
-      sums_(MakeAggregateStore(store_config_, num_periods)),
-      level_counts_(level_scales_.size(), 0) {}
+Server::Server(ServerShape shape)
+    : shape_(std::move(shape)),
+      sums_(MakeAggregateStore(shape_.store, shape_.num_periods)),
+      level_counts_(shape_.level_scales.size(), 0) {}
 
 Status EstimatorSpec::Validate() const {
   if (mode != Mode::kDyadic && mode != Mode::kDirect) {
@@ -66,22 +60,31 @@ Status DedupWindowPolicy::Validate(DedupPolicy policy) const {
   return Status::OK();
 }
 
-Result<std::vector<double>> ProtocolLevelScales(
-    const ProtocolConfig& config) {
+Result<ServerShape> ServerShape::ForProtocol(const ProtocolConfig& config,
+                                             DedupPolicy dedup,
+                                             DedupWindowPolicy window) {
   FR_RETURN_NOT_OK(config.Validate());
   const int orders = config.num_orders();
-  std::vector<double> scales(static_cast<size_t>(orders));
+  ServerShape shape{config.num_periods,
+                    std::vector<double>(static_cast<size_t>(orders)), dedup,
+                    window, config.store};
   if (rand::IsLongitudinalKind(config.randomizer)) {
     // Every longitudinal client sits at level 0 and reports each tick, so
     // the only live scale inverts the estimator gap u1 - u0 — no
     // (1 + log d) level-sampling factor. Higher orders hold no reports;
-    // their zero scales keep any stray read harmless.
+    // their zero scales keep any stray read harmless. Queries read that
+    // row directly, shifted by the value-0 report mean u0.
     FR_ASSIGN_OR_RETURN(
         const double gap,
         rand::ExactCGap(config.randomizer, config.max_changes, config.epsilon,
                         config.longitudinal_alpha));
-    scales[0] = 1.0 / gap;
-    return scales;
+    shape.level_scales[0] = 1.0 / gap;
+    FR_ASSIGN_OR_RETURN(const rand::LongitudinalSpec longitudinal,
+                        rand::MakeLongitudinalSpec(config.randomizer,
+                                                   config.epsilon,
+                                                   config.longitudinal_alpha));
+    shape.estimator = {EstimatorSpec::Mode::kDirect, longitudinal.u0};
+    return shape;
   }
   for (int h = 0; h < orders; ++h) {
     // Algorithm 2 line 5: (1 + log d) * c_gap^{-1}. The c_gap must match the
@@ -90,46 +93,14 @@ Result<std::vector<double>> ProtocolLevelScales(
         double c_gap,
         rand::ExactCGap(config.randomizer, config.SupportAtLevel(h),
                         config.epsilon));
-    scales[static_cast<size_t>(h)] =
+    shape.level_scales[static_cast<size_t>(h)] =
         static_cast<double>(orders) / c_gap;
   }
-  return scales;
+  return shape;
 }
 
-Result<EstimatorSpec> ProtocolEstimatorSpec(const ProtocolConfig& config) {
-  FR_RETURN_NOT_OK(config.Validate());
-  EstimatorSpec spec;
-  if (rand::IsLongitudinalKind(config.randomizer)) {
-    FR_ASSIGN_OR_RETURN(const rand::LongitudinalSpec longitudinal,
-                        rand::MakeLongitudinalSpec(config.randomizer,
-                                                   config.epsilon,
-                                                   config.longitudinal_alpha));
-    spec.mode = EstimatorSpec::Mode::kDirect;
-    spec.direct_offset = longitudinal.u0;
-  }
-  return spec;
-}
-
-Result<Server> Server::ForProtocol(const ProtocolConfig& config,
-                                   DedupPolicy policy,
-                                   DedupWindowPolicy window) {
-  FR_ASSIGN_OR_RETURN(std::vector<double> scales,
-                      ProtocolLevelScales(config));
-  FR_ASSIGN_OR_RETURN(const EstimatorSpec estimator,
-                      ProtocolEstimatorSpec(config));
-  // Through WithScales so the (policy, window, num_periods, store) checks
-  // live in exactly one place.
-  return WithScales(config.num_periods, std::move(scales), policy, window,
-                    config.store, estimator);
-}
-
-Result<Server> Server::WithScales(int64_t num_periods,
-                                  std::vector<double> level_scales,
-                                  DedupPolicy policy,
-                                  DedupWindowPolicy window,
-                                  StoreConfig store,
-                                  EstimatorSpec estimator) {
-  FR_RETURN_NOT_OK(window.Validate(policy));
+Status ServerShape::Validate() const {
+  FR_RETURN_NOT_OK(window.Validate(dedup));
   FR_RETURN_NOT_OK(estimator.Validate());
   // Construction-time, not decode-time: a server with out-of-range sketch
   // parameters must never exist, so no snapshot of one can either.
@@ -149,15 +120,54 @@ Result<Server> Server::WithScales(int64_t num_periods,
   if (level_scales.size() != expected) {
     return Status::InvalidArgument("need one scale per dyadic order");
   }
-  return Server(num_periods, std::move(level_scales), policy, window, store,
-                estimator);
+  return Status::OK();
+}
+
+const char* ServerShape::FirstDifference(const ServerShape& other) const {
+  if (num_periods != other.num_periods) {
+    return "num_periods";
+  }
+  // Same d is not enough: shards debiasing with different per-level scales
+  // would silently mix estimators, so scales must match exactly.
+  if (level_scales != other.level_scales) {
+    return "level scales";
+  }
+  if (dedup != other.dedup) {
+    return "dedup policy";
+  }
+  if (window != other.window) {
+    return "dedup window";
+  }
+  // Stores merge cell-wise, so both sides must bucket identically: same
+  // backend, and under kSketch the same rows/width/seed.
+  if (store != other.store) {
+    return "store config";
+  }
+  if (estimator != other.estimator) {
+    return "estimator spec";
+  }
+  return nullptr;
+}
+
+Result<Server> Server::ForProtocol(const ProtocolConfig& config,
+                                   DedupPolicy policy,
+                                   DedupWindowPolicy window) {
+  FR_ASSIGN_OR_RETURN(ServerShape shape,
+                      ServerShape::ForProtocol(config, policy, window));
+  return Create(std::move(shape));
+}
+
+Result<Server> Server::Create(ServerShape shape) {
+  FR_RETURN_NOT_OK(shape.Validate());
+  shape.store = shape.store.Canonical();
+  return Server(std::move(shape));
 }
 
 Status Server::RegisterClientStrict(int64_t client_id, int level) {
-  if (level < 0 || level >= static_cast<int>(level_scales_.size())) {
+  if (level < 0 || level >= static_cast<int>(shape_.level_scales.size())) {
     return Status::InvalidArgument("level out of range");
   }
-  if (estimator_spec_.direct() && level != 0) {
+  if (shape_.estimator.direct() && level != 0) {
     // The direct estimator reads only the order-0 row; a deeper client's
     // reports would silently vanish from every query.
     return Status::InvalidArgument(
@@ -169,7 +179,7 @@ Status Server::RegisterClientStrict(int64_t client_id, int level) {
   clients_.Insert(client_id);
   client_levels_.push_back(level);
   // Only the active policy's column is populated (the other stays empty).
-  if (dedup_policy_ == DedupPolicy::kIdempotent) {
+  if (shape_.dedup == DedupPolicy::kIdempotent) {
     seen_boundaries_.emplace_back();
   } else {
     last_report_time_.push_back(0);
@@ -179,7 +189,7 @@ Status Server::RegisterClientStrict(int64_t client_id, int level) {
 }
 
 Status Server::RegisterClient(int64_t client_id, int level) {
-  if (dedup_policy_ == DedupPolicy::kIdempotent) {
+  if (shape_.dedup == DedupPolicy::kIdempotent) {
     const int32_t slot = clients_.Find(client_id);
     if (slot >= 0) {
       if (client_levels_[static_cast<size_t>(slot)] != level) {
@@ -194,7 +204,7 @@ Status Server::RegisterClient(int64_t client_id, int level) {
 }
 
 int64_t Server::BitmapWordsAtLevel(int level) const {
-  const int64_t boundaries = num_periods_ >> level;
+  const int64_t boundaries = shape_.num_periods >> level;
   return (boundaries + 63) / 64;
 }
 
@@ -206,7 +216,7 @@ void Server::EvictBehindWindow(BoundaryBitmap* bitmap,
   // materialized, so a large frontier jump (first report after a long
   // outage) never allocates words it would immediately evict — the
   // materialized span stays O(window) regardless of the jump size.
-  const int64_t keep_from = frontier - dedup_window_.window_boundaries + 1;
+  const int64_t keep_from = frontier - shape_.window.window_boundaries + 1;
   const int64_t keep_word = keep_from <= 0 ? 0 : keep_from >> 6;
   if (keep_word <= bitmap->base_word) {
     return;
@@ -234,7 +244,7 @@ Status Server::CheckAndRecordReport(int64_t client_id, int64_t time,
   }
   const int level = client_levels_[static_cast<size_t>(client_slot)];
   const int64_t interval_length = int64_t{1} << level;
-  if (time < 1 || time > num_periods_) {
+  if (time < 1 || time > shape_.num_periods) {
     return Status::OutOfRange("report time outside [1..d]");
   }
   if (time % interval_length != 0) {
@@ -243,11 +253,11 @@ Status Server::CheckAndRecordReport(int64_t client_id, int64_t time,
   }
   *level_out = level;
   *action = ReportAction::kApply;
-  if (dedup_policy_ == DedupPolicy::kIdempotent) {
+  if (shape_.dedup == DedupPolicy::kIdempotent) {
     BoundaryBitmap& seen = seen_boundaries_[static_cast<size_t>(client_slot)];
     const int64_t boundary = (time >> level) - 1;
     const int64_t word = boundary >> 6;
-    if (boundary > seen.frontier && dedup_window_.bounded()) {
+    if (boundary > seen.frontier && shape_.window.bounded()) {
       // This report is about to advance the frontier: evict against the
       // new frontier first, so the resize below only materializes words
       // inside the window (a boundary above the frontier can never be a
@@ -297,18 +307,7 @@ Status Server::SubmitReport(int64_t client_id, int64_t time, int8_t report) {
 }
 
 Status Server::SubmitReports(std::span<const ReportMessage> batch,
-                             int64_t* accepted) {
-  return IngestRecords(batch, /*indices=*/nullptr, batch.size(), accepted);
-}
-
-Status Server::SubmitReports(std::span<const ReportMessage> batch,
                              std::span<const size_t> indices,
-                             int64_t* accepted) {
-  return IngestRecords(batch, indices.data(), indices.size(), accepted);
-}
-
-Status Server::IngestRecords(std::span<const ReportMessage> batch,
-                             const size_t* indices, size_t count,
                              int64_t* accepted) {
   // Per-level accumulator for the current run of same-time records. A fleet
   // tick emits a whole batch at one time t, so the common case flushes the
@@ -330,9 +329,8 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
   };
   int64_t done = 0;
   Status status;
-  for (size_t i = 0; i < count; ++i) {
-    const ReportMessage& record =
-        batch[indices == nullptr ? i : indices[i]];
+  for (const size_t index : indices) {
+    const ReportMessage& record = batch[index];
     if (record.time != pending_time) {
       flush();
     }
@@ -357,20 +355,20 @@ Status Server::IngestRecords(std::span<const ReportMessage> batch,
 }
 
 Result<double> Server::EstimateAt(int64_t t) const {
-  if (t < 1 || t > num_periods_) {
+  if (t < 1 || t > shape_.num_periods) {
     return Status::OutOfRange("query time outside [1..d]");
   }
-  if (estimator_spec_.direct()) {
+  if (shape_.estimator.direct()) {
     // Every report at time t is a level-0 client's perturbed value, so the
     // unbiased read is a plain shift-and-rescale of the order-0 sum:
-    //   (S_t - n_0 * u0) / (u1 - u0), with 1/(u1 - u0) in level_scales_[0].
+    //   (S_t - n_0 * u0) / (u1 - u0), with 1/(u1 - u0) in level_scales[0].
     const double raw = static_cast<double>(sums_->Value(0, t));
     const double n0 = static_cast<double>(level_counts_[0]);
-    return level_scales_[0] * (raw - n0 * estimator_spec_.direct_offset);
+    return shape_.level_scales[0] * (raw - n0 * shape_.estimator.direct_offset);
   }
   double estimate = 0.0;
   for (const dyadic::DyadicInterval& interval : dyadic::DecomposePrefix(t)) {
-    estimate += level_scales_[static_cast<size_t>(interval.order)] *
+    estimate += shape_.level_scales[static_cast<size_t>(interval.order)] *
                 static_cast<double>(
                     sums_->Value(interval.order, interval.index));
   }
@@ -378,10 +376,10 @@ Result<double> Server::EstimateAt(int64_t t) const {
 }
 
 Result<double> Server::EstimateWindowDelta(int64_t l, int64_t r) const {
-  if (l < 1 || l > r || r > num_periods_) {
+  if (l < 1 || l > r || r > shape_.num_periods) {
     return Status::OutOfRange("window outside [1..d]");
   }
-  if (estimator_spec_.direct()) {
+  if (shape_.estimator.direct()) {
     // No dyadic decomposition to exploit: the windowed change is just the
     // difference of the two point estimates (a[l-1] is 0 by the st[0] = 0
     // convention when l == 1).
@@ -396,7 +394,7 @@ Result<double> Server::EstimateWindowDelta(int64_t l, int64_t r) const {
   // decomposition of [l..r] sums to a[r] - a[l-1] (Observation 3.7).
   double estimate = 0.0;
   for (const dyadic::DyadicInterval& interval : dyadic::DecomposeRange(l, r)) {
-    estimate += level_scales_[static_cast<size_t>(interval.order)] *
+    estimate += shape_.level_scales[static_cast<size_t>(interval.order)] *
                 static_cast<double>(
                     sums_->Value(interval.order, interval.index));
   }
@@ -405,8 +403,8 @@ Result<double> Server::EstimateWindowDelta(int64_t l, int64_t r) const {
 
 Result<std::vector<double>> Server::EstimateAll() const {
   std::vector<double> estimates;
-  estimates.reserve(static_cast<size_t>(num_periods_));
-  for (int64_t t = 1; t <= num_periods_; ++t) {
+  estimates.reserve(static_cast<size_t>(shape_.num_periods));
+  for (int64_t t = 1; t <= shape_.num_periods; ++t) {
     FR_ASSIGN_OR_RETURN(double estimate, EstimateAt(t));
     estimates.push_back(estimate);
   }
@@ -414,21 +412,21 @@ Result<std::vector<double>> Server::EstimateAll() const {
 }
 
 Result<std::vector<double>> Server::EstimateAllConsistent() const {
-  if (estimator_spec_.direct()) {
+  if (shape_.estimator.direct()) {
     // The direct estimator keeps one reading per period — there is no
     // redundant ancestor/descendant structure for GLS to reconcile, so the
     // consistent estimates are the plain ones.
     return EstimateAll();
   }
-  const int64_t d = num_periods_;
-  const int orders = static_cast<int>(level_scales_.size());
+  const int64_t d = shape_.num_periods;
+  const int orders = static_cast<int>(shape_.level_scales.size());
   // Dense-sized scratch regardless of backend: consistency refines every
   // interval estimate, so this offline path costs O(d) memory even when
   // the store itself is sketched.
   dyadic::DyadicTree<double> estimates(d);
   std::vector<double> level_variances(static_cast<size_t>(orders));
   for (int h = 0; h < orders; ++h) {
-    const double scale = level_scales_[static_cast<size_t>(h)];
+    const double scale = shape_.level_scales[static_cast<size_t>(h)];
     const int64_t count = dyadic::NumIntervalsAtOrder(d, h);
     for (int64_t j = 1; j <= count; ++j) {
       estimates.At(h, j) = scale * static_cast<double>(sums_->Value(h, j));
@@ -461,32 +459,10 @@ Status Server::MergeAggregatesOnly(const Server& other) {
 }
 
 Status Server::CheckMergeCompatible(const Server& other) const {
-  if (other.num_periods_ != num_periods_) {
-    return Status::InvalidArgument("cannot merge servers of different shape");
-  }
-  // Stores merge cell-wise, so both sides must bucket identically: same
-  // backend, and under kSketch the same rows/width/seed.
-  if (other.store_config_ != store_config_) {
-    return Status::InvalidArgument(
-        "cannot merge servers with mismatched store configs");
-  }
-  // Same shape is not enough: shards debiasing with different per-level
-  // scales would silently mix estimators, so scales must match exactly.
-  if (other.level_scales_ != level_scales_) {
-    return Status::InvalidArgument(
-        "cannot merge servers with mismatched level scales");
-  }
-  if (other.estimator_spec_ != estimator_spec_) {
-    return Status::InvalidArgument(
-        "cannot merge servers with mismatched estimator specs");
-  }
-  if (other.dedup_policy_ != dedup_policy_) {
-    return Status::InvalidArgument(
-        "cannot merge servers with mismatched dedup policies");
-  }
-  if (other.dedup_window_ != dedup_window_) {
-    return Status::InvalidArgument(
-        "cannot merge servers with mismatched dedup windows");
+  if (const char* field = shape_.FirstDifference(other.shape_)) {
+    std::string message = "cannot merge servers with mismatched ";
+    message += field;
+    return Status::InvalidArgument(message);
   }
   return Status::OK();
 }
@@ -503,8 +479,8 @@ int64_t Server::ClientCountAtLevel(int level) const {
 }
 
 double Server::ScaleAtLevel(int level) const {
-  FR_CHECK(level >= 0 && level < static_cast<int>(level_scales_.size()));
-  return level_scales_[static_cast<size_t>(level)];
+  FR_CHECK(level >= 0 && level < static_cast<int>(shape_.level_scales.size()));
+  return shape_.level_scales[static_cast<size_t>(level)];
 }
 
 int64_t Server::ApproxMemoryBytes() const {
@@ -513,7 +489,8 @@ int64_t Server::ApproxMemoryBytes() const {
   // what sizing a DedupWindowPolicy needs.
   int64_t bytes = static_cast<int64_t>(sizeof(Server));
   bytes += sums_->ApproxMemoryBytes();
-  bytes += static_cast<int64_t>(level_scales_.capacity() * sizeof(double));
+  bytes += static_cast<int64_t>(shape_.level_scales.capacity() *
+                                sizeof(double));
   bytes += static_cast<int64_t>(level_counts_.capacity() * sizeof(int64_t));
   bytes += clients_.ApproxMemoryBytes();
   bytes += static_cast<int64_t>(client_levels_.capacity() * sizeof(int32_t));

@@ -7,6 +7,11 @@
 // randomizer (Observation 4.3 / Equation 12). In paper-faithful mode
 // c_gap(h) is the same for every level.
 //
+// A server's identity — d, the scales, the dedup policy and window, the
+// aggregate store and the estimator — is one ServerShape value: declared,
+// validated and compared in one place, and shared verbatim by the sharded
+// aggregator (core/aggregator.h) and the snapshot codec.
+//
 // State persistence (checkpoint/restore) lives in core/snapshot.h; the byte
 // layout of every serialized form is specified in docs/FORMATS.md.
 
@@ -106,18 +111,52 @@ struct EstimatorSpec {
                          const EstimatorSpec&) = default;
 };
 
-/// The exact per-level debiasing scales of Algorithm 2 line 5 for the
-/// protocol configuration: (1 + log d) / c_gap(h), where c_gap(h) matches
-/// the randomizer the level-h clients instantiate. Shared by
-/// Server::ForProtocol and ShardedAggregator::ForProtocol. For the
-/// longitudinal kinds the vector is [1/(u1 - u0), 0, 0, ...]: only level 0
-/// is populated and the level-sampling factor (1 + log d) does not apply
-/// (pair with ProtocolEstimatorSpec).
-Result<std::vector<double>> ProtocolLevelScales(const ProtocolConfig& config);
+/// A server's identity: the six fields that decide whether two servers, a
+/// shard and a checkpoint may meet. Merge, restore and resharding require
+/// equal shapes; a Server and a ShardedAggregator each hold exactly one.
+struct ServerShape {
+  /// The horizon d: a power of two.
+  int64_t num_periods = 0;
+  /// scales[h] multiplies each raw report of a level-h client, one per
+  /// dyadic order 0..log d. Algorithm 2 line 5: (1 + log d) / c_gap(h);
+  /// baselines whose estimators carry extra factors supply their own.
+  std::vector<double> level_scales{};
+  DedupPolicy dedup = DedupPolicy::kStrict;
+  /// The eviction policy of the kIdempotent bitmaps (inert under kStrict).
+  DedupWindowPolicy window{};
+  /// The aggregate backend (dense by default; see core/store.h). A Server
+  /// holds it in canonical form, so two dense servers always agree.
+  StoreConfig store{};
+  /// How queries read the sums: the paper's dyadic decomposition, or
+  /// kDirect for the longitudinal kinds (which also restricts
+  /// registrations to level 0).
+  EstimatorSpec estimator{};
 
-/// The estimator mode the protocol configuration requires: kDirect with
-/// offset u0 for the longitudinal kinds, kDyadic otherwise.
-Result<EstimatorSpec> ProtocolEstimatorSpec(const ProtocolConfig& config);
+  /// The shape the protocol configuration requires: the exact per-level
+  /// debiasing scales (1 + log d) / c_gap(h), where c_gap(h) matches the
+  /// randomizer the level-h clients instantiate, config.store, and the
+  /// dyadic estimator. For the longitudinal kinds the scales are
+  /// [1/(u1 - u0), 0, 0, ...] — only level 0 is populated and the
+  /// level-sampling factor (1 + log d) does not apply — and the estimator
+  /// is kDirect with offset u0. Errors on an invalid config.
+  static Result<ServerShape> ForProtocol(
+      const ProtocolConfig& config, DedupPolicy dedup = DedupPolicy::kStrict,
+      DedupWindowPolicy window = {});
+
+  /// OK iff num_periods is a power of two with one scale per dyadic order,
+  /// the (dedup, window) pair is consistent with a window no larger than d,
+  /// the estimator spec is valid and the sketch parameters are in range
+  /// (width a power of two, rows in [1, 64]).
+  Status Validate() const;
+
+  /// The name of the first field in which `other` differs ("num_periods",
+  /// "level scales", "dedup policy", "dedup window", "store config",
+  /// "estimator spec"), or nullptr if the shapes are equal. Refusal
+  /// messages name the field through this.
+  const char* FirstDifference(const ServerShape& other) const;
+
+  friend bool operator==(const ServerShape&, const ServerShape&) = default;
+};
 
 /// Aggregates client reports and produces the online estimates a_hat[t].
 ///
@@ -128,34 +167,16 @@ Result<EstimatorSpec> ProtocolEstimatorSpec(const ProtocolConfig& config);
 /// Status; on error the server is unchanged unless noted otherwise.
 class Server {
  public:
-  /// Builds a server for the protocol configuration; computes the exact
-  /// per-level debiasing scales from the randomizer kind, and holds its
-  /// aggregate counters in the store config.store selects (dense by
-  /// default; see core/store.h for the sketch backend). Errors on an
-  /// invalid config — including out-of-range sketch parameters, rejected
-  /// here at construction rather than when a snapshot is decoded — or an
-  /// inconsistent (policy, window) pair.
+  /// Builds a server of the given shape, holding its aggregate counters in
+  /// the store shape.store selects. Errors unless shape.Validate() passes —
+  /// invalid sketch parameters fail here, at construction, rather than
+  /// when a snapshot is decoded.
+  static Result<Server> Create(ServerShape shape);
+
+  /// Create(ServerShape::ForProtocol(config, policy, window)).
   static Result<Server> ForProtocol(const ProtocolConfig& config,
                                     DedupPolicy policy = DedupPolicy::kStrict,
                                     DedupWindowPolicy window = {});
-
-  /// Builds a server with externally supplied per-level report scales
-  /// (scales[h] multiplies each raw report of a level-h client). Used by
-  /// baseline protocols whose estimators carry extra factors. `store`
-  /// injects the aggregate backend (default dense); the config is
-  /// validated here, so invalid sketch parameters (width not a power of
-  /// two, rows out of [1, 64]) fail at construction time. Errors unless
-  /// num_periods is a power of two with one scale per dyadic order and the
-  /// (policy, window) pair is consistent.
-  /// `estimator` selects how queries read the sums (default: the paper's
-  /// dyadic decomposition; kDirect for the longitudinal kinds, which also
-  /// restricts registrations to level 0).
-  static Result<Server> WithScales(int64_t num_periods,
-                                   std::vector<double> level_scales,
-                                   DedupPolicy policy = DedupPolicy::kStrict,
-                                   DedupWindowPolicy window = {},
-                                   StoreConfig store = {},
-                                   EstimatorSpec estimator = {});
 
   Server(Server&&) = default;
   Server& operator=(Server&&) = default;
@@ -178,21 +199,17 @@ class Server {
   /// than -1/+1, all before any state changes.
   Status SubmitReport(int64_t client_id, int64_t time, int8_t report);
 
-  /// Batch ingest: applies batch[i] in order with exactly SubmitReport's
-  /// per-record semantics, stopping at the first error (records before it
-  /// stay applied, as if submitted one by one). Within a run of records
-  /// sharing a report time — the common case, since a fleet tick emits one
-  /// batch per period — the per-level aggregate updates are accumulated in
-  /// a small per-order buffer and flushed to the interval tree once per
-  /// (level, time), turning d tree walks into one. `*accepted` (optional)
-  /// receives the number of records consumed without error, including
-  /// dropped duplicates.
-  Status SubmitReports(std::span<const ReportMessage> batch,
-                       int64_t* accepted = nullptr);
-
-  /// SubmitReports over a sub-sequence: applies batch[indices[i]] in index
-  /// order. Lets a sharded ingest route one decoded batch to many servers
-  /// without materializing per-shard copies.
+  /// Batch ingest: applies batch[indices[i]] in index order with exactly
+  /// SubmitReport's per-record semantics, stopping at the first error
+  /// (records before it stay applied, as if submitted one by one). The
+  /// index span lets a sharded ingest route one decoded batch to many
+  /// servers without materializing per-shard copies. Within a run of
+  /// records sharing a report time — the common case, since a fleet tick
+  /// emits one batch per period — the per-level aggregate updates are
+  /// accumulated in a small per-order buffer and flushed to the interval
+  /// tree once per (level, time), turning d tree walks into one.
+  /// `*accepted` (optional) receives the number of records consumed without
+  /// error, including dropped duplicates.
   Status SubmitReports(std::span<const ReportMessage> batch,
                        std::span<const size_t> indices,
                        int64_t* accepted = nullptr);
@@ -231,32 +248,16 @@ class Server {
   /// shard instead of O(clients).
   Status MergeAggregatesOnly(const Server& other);
 
-  int64_t num_periods() const { return num_periods_; }
-  int64_t num_clients() const { return clients_.size(); }
+  /// The shape this server was built with (store in canonical form).
+  const ServerShape& shape() const { return shape_; }
 
-  /// The aggregate-store configuration this server was built with, in
-  /// canonical form. Part of the server's identity: merge, restore and
-  /// resharding require equal store configs.
-  const StoreConfig& store_config() const { return store_config_; }
+  int64_t num_clients() const { return clients_.size(); }
 
   /// Number of registered clients at level h. FR_CHECKs the range.
   int64_t ClientCountAtLevel(int level) const;
 
   /// The debiasing scale applied to level-h reports. FR_CHECKs the range.
   double ScaleAtLevel(int level) const;
-
-  /// All per-level debiasing scales, indexed by order h.
-  const std::vector<double>& level_scales() const { return level_scales_; }
-
-  /// The estimator this server answers queries with. Part of the server's
-  /// identity like the scales: merge, restore and resharding require equal
-  /// estimator specs.
-  const EstimatorSpec& estimator() const { return estimator_spec_; }
-
-  DedupPolicy dedup_policy() const { return dedup_policy_; }
-
-  /// The eviction policy this server was built with (inert under kStrict).
-  const DedupWindowPolicy& dedup_window() const { return dedup_window_; }
 
   /// Retransmissions absorbed under kIdempotent: duplicate reports dropped
   /// plus same-level re-registrations ignored. Always 0 under kStrict.
@@ -287,9 +288,7 @@ class Server {
     std::vector<uint64_t> words;
   };
 
-  Server(int64_t num_periods, std::vector<double> level_scales,
-         DedupPolicy policy, DedupWindowPolicy window, StoreConfig store,
-         EstimatorSpec estimator);
+  explicit Server(ServerShape shape);
 
   Status CheckMergeCompatible(const Server& other) const;
   void AddSums(const Server& other);
@@ -308,12 +307,6 @@ class Server {
   Status CheckAndRecordReport(int64_t client_id, int64_t time, int8_t report,
                               int* level_out, ReportAction* action);
 
-  /// Shared body of both SubmitReports overloads: applies
-  /// batch[indices ? indices[i] : i] for i in [0..count).
-  Status IngestRecords(std::span<const ReportMessage> batch,
-                       const size_t* indices, size_t count,
-                       int64_t* accepted);
-
   /// Words of a full kIdempotent boundary bitmap for a level-h client:
   /// one bit per multiple of 2^h in [1..d]. The upper bound on any
   /// BoundaryBitmap's base_word + words.size().
@@ -324,12 +317,7 @@ class Server {
   /// never allocates words that would be evicted right away.
   void EvictBehindWindow(BoundaryBitmap* bitmap, int64_t frontier) const;
 
-  DedupPolicy dedup_policy_;
-  DedupWindowPolicy dedup_window_;
-  std::vector<double> level_scales_;
-  int64_t num_periods_;
-  StoreConfig store_config_;  // canonical form
-  EstimatorSpec estimator_spec_;
+  ServerShape shape_;  // store in canonical form
   // Raw sum of +/-1 reports per interval, behind the pluggable backend
   // (exact counters under kDense, count-sketch rows under kSketch).
   std::unique_ptr<AggregateStore> sums_;

@@ -19,6 +19,8 @@ using wire_internal::AppendChecksum;
 using wire_internal::AppendHeader;
 using wire_internal::ConsumeChecksum;
 using wire_internal::ConsumeHeader;
+using wire_internal::DeltaDecode;
+using wire_internal::DeltaEncode;
 using wire_internal::GetDoubleBits;
 using wire_internal::GetVarint64;
 using wire_internal::PutDoubleBits;
@@ -47,34 +49,32 @@ struct ServerStateCodec {
     // pre-store byte layout for dense servers; kServerStateSketch (8)
     // inserts the sketch parameters after d and serializes the raw cell
     // arena instead of per-interval counters.
-    const bool sketch = server.store_config_.kind == StoreKind::kSketch;
+    const ServerShape& shape = server.shape_;
+    const bool sketch = shape.store.kind == StoreKind::kSketch;
     std::string out;
     AppendHeader(sketch ? wire_internal::kKindServerStateSketch
                         : wire_internal::kKindServerState,
                  &out);
-    PutVarint64(static_cast<uint64_t>(server.num_periods_), &out);
+    PutVarint64(static_cast<uint64_t>(shape.num_periods), &out);
     if (sketch) {
-      PutVarint64(static_cast<uint64_t>(server.store_config_.sketch_rows),
-                  &out);
-      PutVarint64(static_cast<uint64_t>(server.store_config_.sketch_width),
-                  &out);
-      PutVarint64(server.store_config_.sketch_seed, &out);
+      PutVarint64(static_cast<uint64_t>(shape.store.sketch_rows), &out);
+      PutVarint64(static_cast<uint64_t>(shape.store.sketch_width), &out);
+      PutVarint64(shape.store.sketch_seed, &out);
     }
-    PutVarint64(server.dedup_policy_ == DedupPolicy::kIdempotent ? 1 : 0,
-                &out);
-    PutVarint64(
-        static_cast<uint64_t>(server.dedup_window_.window_boundaries), &out);
+    const bool idempotent = shape.dedup == DedupPolicy::kIdempotent;
+    PutVarint64(idempotent ? 1 : 0, &out);
+    PutVarint64(static_cast<uint64_t>(shape.window.window_boundaries), &out);
     // Estimator mode, with the direct offset (u0) only when it applies —
     // dyadic snapshots keep the pre-longitudinal byte cost.
-    const bool direct = server.estimator_spec_.direct();
+    const bool direct = shape.estimator.direct();
     PutVarint64(direct ? 1 : 0, &out);
     if (direct) {
-      PutDoubleBits(server.estimator_spec_.direct_offset, &out);
+      PutDoubleBits(shape.estimator.direct_offset, &out);
     }
-    const auto orders = static_cast<int>(server.level_scales_.size());
+    const auto orders = static_cast<int>(shape.level_scales.size());
     PutVarint64(static_cast<uint64_t>(orders), &out);
     for (int h = 0; h < orders; ++h) {
-      PutDoubleBits(server.level_scales_[static_cast<size_t>(h)], &out);
+      PutDoubleBits(shape.level_scales[static_cast<size_t>(h)], &out);
       PutVarint64(
           static_cast<uint64_t>(server.level_counts_[static_cast<size_t>(h)]),
           &out);
@@ -87,7 +87,7 @@ struct ServerStateCodec {
     } else {
       for (int h = 0; h < orders; ++h) {
         const int64_t count =
-            dyadic::NumIntervalsAtOrder(server.num_periods_, h);
+            dyadic::NumIntervalsAtOrder(shape.num_periods, h);
         for (int64_t j = 1; j <= count; ++j) {
           PutVarint64(ZigZagEncode(server.sums_->Value(h, j)), &out);
         }
@@ -104,10 +104,10 @@ struct ServerStateCodec {
     int64_t previous_id = 0;
     for (const int64_t id : ids) {
       const auto slot = static_cast<size_t>(server.clients_.Find(id));
-      PutVarint64(ZigZagEncode(id - previous_id), &out);
+      PutVarint64(DeltaEncode(id, previous_id), &out);
       PutVarint64(static_cast<uint64_t>(server.client_levels_[slot]), &out);
       previous_id = id;
-      if (server.dedup_policy_ == DedupPolicy::kIdempotent) {
+      if (idempotent) {
         // Only the materialized window is serialized: the eviction
         // watermark (base_word) plus the live words. A client that never
         // reported has an empty bitmap (base_word 0) and costs two zero
@@ -141,8 +141,8 @@ struct ServerStateCodec {
         !IsPowerOfTwo(raw_periods)) {
       return Status::InvalidArgument("implausible snapshot num_periods");
     }
-    const auto d = static_cast<int64_t>(raw_periods);
-    StoreConfig store;
+    ServerShape shape;
+    shape.num_periods = static_cast<int64_t>(raw_periods);
     if (sketch) {
       FR_ASSIGN_OR_RETURN(const uint64_t raw_rows, GetVarint64(&bytes));
       FR_ASSIGN_OR_RETURN(const uint64_t raw_width, GetVarint64(&bytes));
@@ -151,16 +151,18 @@ struct ServerStateCodec {
           raw_width > static_cast<uint64_t>(SketchStore::kMaxWidth)) {
         return Status::InvalidArgument("implausible snapshot sketch shape");
       }
-      store = StoreConfig::Sketch(static_cast<int32_t>(raw_rows),
-                                  static_cast<int64_t>(raw_width), raw_seed);
+      shape.store =
+          StoreConfig::Sketch(static_cast<int32_t>(raw_rows),
+                              static_cast<int64_t>(raw_width), raw_seed);
       // The encoder can only serialize a validly constructed store, so a
       // blob carrying bad parameters is corrupt or hand-forged.
-      FR_RETURN_NOT_OK(store.Validate());
+      FR_RETURN_NOT_OK(shape.store.Validate());
       // The cells section needs one byte per cell at minimum; checking
       // before the store exists keeps allocation proportional to the blob.
       FR_RETURN_NOT_OK(CheckPlausibleCount(
           static_cast<uint64_t>(SketchStore::CellCount(
-              d, store.sketch_rows, store.sketch_width)),
+              shape.num_periods, shape.store.sketch_rows,
+              shape.store.sketch_width)),
           1, bytes));
     } else {
       // The sums section alone needs 2d-1 varints of >= 1 byte.
@@ -170,38 +172,39 @@ struct ServerStateCodec {
     if (policy_byte > 1) {
       return Status::InvalidArgument("unknown snapshot dedup policy");
     }
-    const DedupPolicy policy = policy_byte == 1 ? DedupPolicy::kIdempotent
-                                                : DedupPolicy::kStrict;
+    shape.dedup = policy_byte == 1 ? DedupPolicy::kIdempotent
+                                   : DedupPolicy::kStrict;
     FR_ASSIGN_OR_RETURN(const uint64_t raw_window, GetVarint64(&bytes));
     if (raw_window > raw_periods) {
       return Status::InvalidArgument("implausible snapshot dedup window");
     }
-    const DedupWindowPolicy window{static_cast<int64_t>(raw_window)};
-    FR_RETURN_NOT_OK(window.Validate(policy));
+    shape.window.window_boundaries = static_cast<int64_t>(raw_window);
+    FR_RETURN_NOT_OK(shape.window.Validate(shape.dedup));
     FR_ASSIGN_OR_RETURN(const uint64_t mode_byte, GetVarint64(&bytes));
     if (mode_byte > 1) {
       return Status::InvalidArgument("unknown snapshot estimator mode");
     }
-    EstimatorSpec estimator;
-    if (mode_byte == 1) {
-      estimator.mode = EstimatorSpec::Mode::kDirect;
-      FR_ASSIGN_OR_RETURN(estimator.direct_offset, GetDoubleBits(&bytes));
+    const bool direct = mode_byte == 1;
+    if (direct) {
+      shape.estimator.mode = EstimatorSpec::Mode::kDirect;
+      FR_ASSIGN_OR_RETURN(shape.estimator.direct_offset,
+                          GetDoubleBits(&bytes));
     }
     // Full field validation (finite offset in (-1,1), zero under dyadic)
-    // happens in Server::WithScales below via EstimatorSpec::Validate.
+    // happens in Server::Create below via ServerShape::Validate.
     FR_ASSIGN_OR_RETURN(const uint64_t orders, GetVarint64(&bytes));
     if (orders != static_cast<uint64_t>(Log2Exact(raw_periods) + 1)) {
       return Status::InvalidArgument("snapshot level count mismatches d");
     }
-    std::vector<double> scales(static_cast<size_t>(orders));
+    shape.level_scales.resize(static_cast<size_t>(orders));
     std::vector<int64_t> counts(static_cast<size_t>(orders));
     for (uint64_t h = 0; h < orders; ++h) {
-      FR_ASSIGN_OR_RETURN(scales[h], GetDoubleBits(&bytes));
+      FR_ASSIGN_OR_RETURN(shape.level_scales[h], GetDoubleBits(&bytes));
       FR_ASSIGN_OR_RETURN(const uint64_t count, GetVarint64(&bytes));
       if (count > (uint64_t{1} << 62)) {
         return Status::InvalidArgument("implausible snapshot level count");
       }
-      if (estimator.direct() && h > 0 && count != 0) {
+      if (direct && h > 0 && count != 0) {
         // Direct-estimator servers register only level-0 clients, so a
         // deeper population can only come from corruption or forgery.
         return Status::InvalidArgument(
@@ -209,9 +212,7 @@ struct ServerStateCodec {
       }
       counts[h] = static_cast<int64_t>(count);
     }
-    FR_ASSIGN_OR_RETURN(Server server,
-                        Server::WithScales(d, scales, policy, window, store,
-                                           estimator));
+    FR_ASSIGN_OR_RETURN(Server server, Server::Create(std::move(shape)));
     server.level_counts_ = std::move(counts);
     if (sketch) {
       auto& sketch_store = static_cast<SketchStore&>(*server.sums_);
@@ -221,7 +222,8 @@ struct ServerStateCodec {
       }
     } else {
       for (int h = 0; h < static_cast<int>(orders); ++h) {
-        const int64_t count = dyadic::NumIntervalsAtOrder(d, h);
+        const int64_t count =
+            dyadic::NumIntervalsAtOrder(server.shape_.num_periods, h);
         for (int64_t j = 1; j <= count; ++j) {
           FR_ASSIGN_OR_RETURN(const uint64_t raw_sum, GetVarint64(&bytes));
           server.sums_->Add(h, j, ZigZagDecode(raw_sum));
@@ -251,11 +253,11 @@ struct ServerStateCodec {
       if (raw_level >= orders) {
         return Status::InvalidArgument("snapshot client level out of range");
       }
-      if (estimator.direct() && raw_level != 0) {
+      if (direct && raw_level != 0) {
         return Status::InvalidArgument(
             "direct-estimator snapshot registers a client above level 0");
       }
-      const int64_t id = previous_id + ZigZagDecode(id_delta);
+      const int64_t id = DeltaDecode(id_delta, previous_id);
       const int level = static_cast<int>(raw_level);
       previous_id = id;
       if (server.clients_.Find(id) >= 0) {
@@ -265,7 +267,7 @@ struct ServerStateCodec {
       // level_counts_ came from the blob's own level section above.
       server.clients_.Insert(id);
       server.client_levels_.push_back(level);
-      if (policy == DedupPolicy::kIdempotent) {
+      if (server.shape_.dedup == DedupPolicy::kIdempotent) {
         FR_ASSIGN_OR_RETURN(Server::BoundaryBitmap bitmap,
                             DecodeBoundaryBitmap(server, level, &bytes));
         server.seen_boundaries_.push_back(std::move(bitmap));
@@ -300,7 +302,7 @@ struct ServerStateCodec {
         raw_base + raw_words > full_words) {
       return Status::InvalidArgument("snapshot bitmap exceeds level size");
     }
-    if (raw_base != 0 && !server.dedup_window_.bounded()) {
+    if (raw_base != 0 && !server.shape_.window.bounded()) {
       return Status::InvalidArgument(
           "snapshot eviction watermark without a bounded window");
     }
@@ -328,7 +330,7 @@ struct ServerStateCodec {
         (bitmap.base_word +
          static_cast<int64_t>(bitmap.words.size()) - 1) * 64 +
         (std::bit_width(top) - 1);
-    const int64_t boundaries = server.num_periods_ >> level;
+    const int64_t boundaries = server.shape_.num_periods >> level;
     if (bitmap.frontier >= boundaries) {
       return Status::InvalidArgument(
           "snapshot bitmap bit beyond the level horizon");
@@ -349,11 +351,7 @@ struct ServerStateCodec {
     std::vector<Server> targets;
     targets.reserve(static_cast<size_t>(new_num_shards));
     for (int s = 0; s < new_num_shards; ++s) {
-      FR_ASSIGN_OR_RETURN(
-          Server target,
-          Server::WithScales(first.num_periods_, first.level_scales_,
-                             first.dedup_policy_, first.dedup_window_,
-                             first.store_config_, first.estimator_spec_));
+      FR_ASSIGN_OR_RETURN(Server target, Server::Create(first.shape_));
       targets.push_back(std::move(target));
     }
     const auto shards = static_cast<int64_t>(new_num_shards);
@@ -374,7 +372,7 @@ struct ServerStateCodec {
             target.RegisterClientStrict(id, source.client_levels_[slot]));
         // RegisterClientStrict pushed a default column entry; overwrite it
         // with the source client's dedup state.
-        if (source.dedup_policy_ == DedupPolicy::kIdempotent) {
+        if (source.shape_.dedup == DedupPolicy::kIdempotent) {
           target.seen_boundaries_.back() =
               std::move(source.seen_boundaries_[slot]);
         } else {

@@ -116,7 +116,7 @@ Result<AggregatorDeltaBlob> DecodeAggregatorDelta(std::string_view bytes);
 /// interval sums (which are per-shard aggregates, not attributable to
 /// clients) land on shard 0, so any query that sums over shards — which is
 /// all of them — answers bit-identically to the source. All sources must
-/// share one shape/scales/policy and hold disjoint clients.
+/// share one ServerShape and hold disjoint clients.
 Result<std::vector<Server>> ReshardServerStates(std::vector<Server> sources,
                                                 int new_num_shards);
 

@@ -75,7 +75,7 @@ struct StoreConfig {
 
   /// OK iff the sketch parameters are in range (checked regardless of
   /// kind, so a config that would be invalid after a kind flip never
-  /// circulates). Construction-time: Server::WithScales rejects a bad
+  /// circulates). Construction-time: Server::Create rejects a bad
   /// config before any state exists, and the snapshot decoder rejects a
   /// blob carrying one.
   Status Validate() const;

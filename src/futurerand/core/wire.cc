@@ -71,6 +71,16 @@ int64_t ZigZagDecode(uint64_t value) {
          -static_cast<int64_t>(value & 1);
 }
 
+uint64_t DeltaEncode(int64_t value, int64_t previous) {
+  return ZigZagEncode(static_cast<int64_t>(static_cast<uint64_t>(value) -
+                                           static_cast<uint64_t>(previous)));
+}
+
+int64_t DeltaDecode(uint64_t raw, int64_t previous) {
+  return static_cast<int64_t>(static_cast<uint64_t>(previous) +
+                              static_cast<uint64_t>(ZigZagDecode(raw)));
+}
+
 namespace {
 
 constexpr char kMagic0 = 'F';
@@ -154,8 +164,8 @@ namespace {
 
 using wire_internal::GetVarint64;
 using wire_internal::PutVarint64;
-using wire_internal::ZigZagDecode;
-using wire_internal::ZigZagEncode;
+using wire_internal::DeltaDecode;
+using wire_internal::DeltaEncode;
 using wire_internal::kKindRegistrationV2;
 using wire_internal::kKindReportV2;
 
@@ -208,7 +218,7 @@ std::string EncodeRegistrationBatch(
   AppendBatchHeader(kKindRegistrationV2, batch.size(), &out);
   int64_t previous_id = 0;
   for (const RegistrationMessage& message : batch) {
-    PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
+    PutVarint64(DeltaEncode(message.client_id, previous_id), &out);
     PutVarint64(static_cast<uint64_t>(message.level), &out);
     previous_id = message.client_id;
   }
@@ -234,7 +244,7 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
       return Status::InvalidArgument("implausible level");
     }
     RegistrationMessage message;
-    message.client_id = previous_id + ZigZagDecode(id_delta);
+    message.client_id = DeltaDecode(id_delta, previous_id);
     message.level = static_cast<int>(level);
     previous_id = message.client_id;
     batch.push_back(message);
@@ -258,9 +268,9 @@ Result<std::string> EncodeReportBatch(
     if (message.time < 1) {
       return Status::InvalidArgument("report times are 1-based");
     }
-    PutVarint64(ZigZagEncode(message.client_id - previous_id), &out);
+    PutVarint64(DeltaEncode(message.client_id, previous_id), &out);
     // Pack the sign into the low bit of the zigzagged time delta.
-    const uint64_t time_delta = ZigZagEncode(message.time - previous_time);
+    const uint64_t time_delta = DeltaEncode(message.time, previous_time);
     PutVarint64(time_delta << 1 | (message.value == 1 ? 1u : 0u), &out);
     previous_id = message.client_id;
     previous_time = message.time;
@@ -281,9 +291,9 @@ Result<std::vector<ReportMessage>> DecodeReportBatch(std::string_view bytes) {
     FR_ASSIGN_OR_RETURN(uint64_t id_delta, GetVarint64(&bytes));
     FR_ASSIGN_OR_RETURN(uint64_t packed_time, GetVarint64(&bytes));
     ReportMessage message;
-    message.client_id = previous_id + ZigZagDecode(id_delta);
+    message.client_id = DeltaDecode(id_delta, previous_id);
     message.value = (packed_time & 1) ? int8_t{1} : int8_t{-1};
-    message.time = previous_time + ZigZagDecode(packed_time >> 1);
+    message.time = DeltaDecode(packed_time >> 1, previous_time);
     if (message.time < 1) {
       return Status::InvalidArgument("decoded non-positive report time");
     }

@@ -187,6 +187,15 @@ Result<uint64_t> GetVarint64(std::string_view* bytes);
 uint64_t ZigZagEncode(int64_t value);
 int64_t ZigZagDecode(uint64_t value);
 
+/// ZigZagEncode(value - previous), the difference taken modulo 2^64: any
+/// two ids delta-code without signed overflow, and in-range deltas encode
+/// exactly as the plain difference would.
+uint64_t DeltaEncode(int64_t value, int64_t previous);
+
+/// previous + ZigZagDecode(raw) modulo 2^64: inverts DeltaEncode, and is
+/// defined for every (possibly hostile) varint.
+int64_t DeltaDecode(uint64_t raw, int64_t previous);
+
 /// FNV-1a 64-bit hash, the integrity checksum of the snapshot blobs and
 /// the v2 transport batches.
 uint64_t Fnv1a64(std::string_view bytes);

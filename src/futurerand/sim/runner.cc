@@ -164,11 +164,12 @@ Result<RunResult> RunErlingsson(const core::ProtocolConfig& config,
                                 ThreadPool* pool, int num_shards) {
   FR_ASSIGN_OR_RETURN(std::vector<double> scales,
                       core::ErlingssonLevelScales(config));
-  FR_ASSIGN_OR_RETURN(core::ShardedAggregator aggregator,
-                      core::ShardedAggregator::WithScales(
-                          config.num_periods, std::move(scales),
-                          EffectiveShards(pool, num_shards),
-                          core::DedupPolicy::kStrict, {}, config.store));
+  FR_ASSIGN_OR_RETURN(
+      core::ShardedAggregator aggregator,
+      core::ShardedAggregator::Create(
+          {config.num_periods, std::move(scales), core::DedupPolicy::kStrict,
+           {}, config.store},
+          EffectiveShards(pool, num_shards)));
 
   const Rng base(seed);
   std::atomic<int64_t> reports{0};

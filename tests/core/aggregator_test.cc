@@ -180,7 +180,7 @@ TEST(AggregatorTest, WithScalesMatchesErlingssonServer) {
       ErlingssonLevelScales(config).ValueOrDie();
   Server reference = MakeErlingssonServer(config).ValueOrDie();
   ShardedAggregator aggregator =
-      ShardedAggregator::WithScales(config.num_periods, scales, 5)
+      ShardedAggregator::Create({config.num_periods, scales}, 5)
           .ValueOrDie();
 
   std::vector<RegistrationMessage> registrations;
@@ -207,7 +207,7 @@ TEST(AggregatorTest, RejectsInvalidConstruction) {
   EXPECT_FALSE(ShardedAggregator::ForProtocol(TestConfig(), 0).ok());
   EXPECT_FALSE(ShardedAggregator::ForProtocol(TestConfig(), -2).ok());
   EXPECT_FALSE(
-      ShardedAggregator::WithScales(7, {1.0, 1.0, 1.0}, 2).ok());
+      ShardedAggregator::Create({7, {1.0, 1.0, 1.0}}, 2).ok());
 }
 
 TEST(AggregatorTest, PropagatesServerValidation) {
@@ -301,10 +301,10 @@ TEST(AggregatorStoreTest, StoreConfigThreadsThroughToEveryShard) {
   config.store = StoreConfig::Sketch(3, 64, 7);
   ShardedAggregator aggregator =
       ShardedAggregator::ForProtocol(config, 3).ValueOrDie();
-  EXPECT_EQ(aggregator.store_config(), config.store);
+  EXPECT_EQ(aggregator.shape().store, config.store);
   ShardedAggregator dense =
       ShardedAggregator::ForProtocol(TestConfig(), 3).ValueOrDie();
-  EXPECT_EQ(dense.store_config(), StoreConfig::Dense());
+  EXPECT_EQ(dense.shape().store, StoreConfig::Dense());
 }
 
 TEST(AggregatorStoreTest, SketchEstimatesInvariantUnderShardCount) {

@@ -27,7 +27,7 @@ namespace {
 Server UnitServer(int64_t d, DedupPolicy policy) {
   const auto orders =
       static_cast<size_t>(Log2Exact(static_cast<uint64_t>(d))) + 1;
-  return Server::WithScales(d, std::vector<double>(orders, 1.0), policy)
+  return Server::Create({d, std::vector<double>(orders, 1.0), policy})
       .ValueOrDie();
 }
 

@@ -28,8 +28,7 @@ Server UnitServer(int64_t d, DedupPolicy policy,
                   DedupWindowPolicy window = {}) {
   const auto orders =
       static_cast<size_t>(Log2Exact(static_cast<uint64_t>(d))) + 1;
-  return Server::WithScales(d, std::vector<double>(orders, 1.0), policy,
-                            window)
+  return Server::Create({d, std::vector<double>(orders, 1.0), policy, window})
       .ValueOrDie();
 }
 
@@ -43,24 +42,21 @@ ProtocolConfig TestConfig(int64_t d = 512) {
 
 TEST(DedupWindowPolicyTest, ValidationRejectsInconsistentCombinations) {
   // Bounded windows need bitmaps to evict, which only kIdempotent keeps.
-  EXPECT_FALSE(Server::WithScales(8, {1.0, 2.0, 3.0, 4.0},
-                                  DedupPolicy::kStrict,
-                                  DedupWindowPolicy{64})
+  EXPECT_FALSE(Server::Create({8, {1.0, 2.0, 3.0, 4.0}, DedupPolicy::kStrict,
+                               DedupWindowPolicy{64}})
                    .ok());
-  EXPECT_FALSE(Server::WithScales(8, {1.0, 2.0, 3.0, 4.0},
-                                  DedupPolicy::kIdempotent,
-                                  DedupWindowPolicy{-1})
+  EXPECT_FALSE(Server::Create({8, {1.0, 2.0, 3.0, 4.0},
+                               DedupPolicy::kIdempotent,
+                               DedupWindowPolicy{-1}})
                    .ok());
-  EXPECT_TRUE(Server::WithScales(8, {1.0, 2.0, 3.0, 4.0},
-                                 DedupPolicy::kIdempotent,
-                                 DedupWindowPolicy{8})
+  EXPECT_TRUE(Server::Create({8, {1.0, 2.0, 3.0, 4.0},
+                              DedupPolicy::kIdempotent, DedupWindowPolicy{8}})
                   .ok());
   // A window beyond the horizon is a non-canonical spelling of unbounded
   // (and would be rejected by the snapshot decoder): refuse it up front,
   // through every factory.
-  EXPECT_FALSE(Server::WithScales(8, {1.0, 2.0, 3.0, 4.0},
-                                  DedupPolicy::kIdempotent,
-                                  DedupWindowPolicy{9})
+  EXPECT_FALSE(Server::Create({8, {1.0, 2.0, 3.0, 4.0},
+                               DedupPolicy::kIdempotent, DedupWindowPolicy{9}})
                    .ok());
   EXPECT_FALSE(Server::ForProtocol(TestConfig(), DedupPolicy::kIdempotent,
                                    DedupWindowPolicy{513})
@@ -70,17 +66,19 @@ TEST(DedupWindowPolicyTest, ValidationRejectsInconsistentCombinations) {
                                               DedupWindowPolicy{513})
                    .ok());
   // Unbounded (the default) pairs with either policy.
-  EXPECT_TRUE(Server::WithScales(8, {1.0, 2.0, 3.0, 4.0},
-                                 DedupPolicy::kStrict, DedupWindowPolicy{})
+  EXPECT_TRUE(Server::Create({8, {1.0, 2.0, 3.0, 4.0}, DedupPolicy::kStrict,
+                              DedupWindowPolicy{}})
                   .ok());
   // Same rules through the aggregator factories.
-  EXPECT_FALSE(ShardedAggregator::WithScales(8, {1.0, 2.0, 3.0, 4.0}, 2,
-                                             DedupPolicy::kStrict,
-                                             DedupWindowPolicy{64})
+  EXPECT_FALSE(ShardedAggregator::Create({8, {1.0, 2.0, 3.0, 4.0},
+                                          DedupPolicy::kStrict,
+                                          DedupWindowPolicy{64}},
+                                         2)
                    .ok());
-  EXPECT_TRUE(ShardedAggregator::WithScales(8, {1.0, 2.0, 3.0, 4.0}, 2,
-                                            DedupPolicy::kIdempotent,
-                                            DedupWindowPolicy{8})
+  EXPECT_TRUE(ShardedAggregator::Create({8, {1.0, 2.0, 3.0, 4.0},
+                                         DedupPolicy::kIdempotent,
+                                         DedupWindowPolicy{8}},
+                                        2)
                   .ok());
 }
 
@@ -219,7 +217,7 @@ TEST(DedupWindowPolicyTest, WindowedStateSurvivesSnapshotRoundTrip) {
 
   const std::string blob = EncodeServerState(server);
   Server restored = DecodeServerState(blob).ValueOrDie();
-  EXPECT_EQ(restored.dedup_window(), server.dedup_window());
+  EXPECT_EQ(restored.shape().window, server.shape().window);
   EXPECT_EQ(restored.out_of_window_dropped(), 1);
   EXPECT_EQ(EncodeServerState(restored), blob);
   EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
@@ -307,7 +305,7 @@ TEST(DedupWindowPolicyTest, AggregatorReportsOutOfWindowInOutcome) {
   EXPECT_EQ(outcome.out_of_window, 9);
   EXPECT_EQ(outcome.deduped, 1);
   EXPECT_EQ(aggregator.out_of_window_dropped(), 9);
-  EXPECT_EQ(aggregator.dedup_window(), DedupWindowPolicy{64});
+  EXPECT_EQ(aggregator.shape().window, DedupWindowPolicy{64});
 }
 
 TEST(DedupWindowPolicyTest, MergeRequiresMatchingWindows) {

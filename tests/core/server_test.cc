@@ -1,12 +1,16 @@
 #include "futurerand/core/server.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "futurerand/common/math.h"
+#include "futurerand/core/aggregator.h"
+#include "futurerand/core/snapshot.h"
 #include "futurerand/randomizer/randomizer.h"
 #include "testsupport/merge_shards.h"
 
@@ -28,7 +32,7 @@ ProtocolConfig TestConfig(int64_t d = 8, int64_t k = 2, double eps = 1.0) {
 Server UnitServer(int64_t d) {
   const auto orders = static_cast<size_t>(Log2Exact(
                           static_cast<uint64_t>(d))) + 1;
-  return Server::WithScales(d, std::vector<double>(orders, 1.0)).ValueOrDie();
+  return Server::Create({d, std::vector<double>(orders, 1.0)}).ValueOrDie();
 }
 
 TEST(ServerTest, ForProtocolComputesScaleFromCGap) {
@@ -50,9 +54,9 @@ TEST(ServerTest, PerLevelScalesDifferWithAdaptiveSupport) {
 }
 
 TEST(ServerTest, WithScalesValidatesShape) {
-  EXPECT_FALSE(Server::WithScales(6, {1.0, 1.0}).ok());
-  EXPECT_FALSE(Server::WithScales(8, {1.0, 1.0}).ok());  // needs 4 scales
-  EXPECT_TRUE(Server::WithScales(8, {1.0, 1.0, 1.0, 1.0}).ok());
+  EXPECT_FALSE(Server::Create({6, {1.0, 1.0}}).ok());
+  EXPECT_FALSE(Server::Create({8, {1.0, 1.0}}).ok());  // needs 4 scales
+  EXPECT_TRUE(Server::Create({8, {1.0, 1.0, 1.0, 1.0}}).ok());
 }
 
 TEST(ServerTest, RegisterRejectsDuplicatesAndBadLevels) {
@@ -134,7 +138,7 @@ TEST(ServerTest, MergeRejectsDifferentShapes) {
   Server a = UnitServer(4);
   EXPECT_FALSE(a.MergeAggregatesOnly(UnitServer(8)).ok());
   const auto scaled = [] {
-    return Server::WithScales(4, {2.0, 2.0, 2.0}).ValueOrDie();
+    return Server::Create({4, {2.0, 2.0, 2.0}}).ValueOrDie();
   };
   EXPECT_FALSE(a.MergeAggregatesOnly(scaled()).ok());
   EXPECT_FALSE(MergeShards(UnitServer(4), UnitServer(8)).ok());
@@ -166,15 +170,15 @@ TEST(ServerTest, MergeAggregatesOnlyMatchesFullMergeEstimates) {
   EXPECT_EQ(aggregates.ClientCountAtLevel(0), full.ClientCountAtLevel(0));
   EXPECT_EQ(aggregates.ClientCountAtLevel(1), full.ClientCountAtLevel(1));
   // And it enforces the same compatibility rules.
-  Server different = Server::WithScales(8, {2.0, 1.0, 1.0, 1.0}).ValueOrDie();
+  Server different = Server::Create({8, {2.0, 1.0, 1.0, 1.0}}).ValueOrDie();
   EXPECT_FALSE(aggregates.MergeAggregatesOnly(different).ok());
 }
 
 TEST(ServerTest, MergeRejectsMismatchedLevelScales) {
   // Same shape, different debiasing scales: merging would silently mix two
   // different estimators, so it must fail loudly with InvalidArgument.
-  Server a = Server::WithScales(4, {1.0, 1.0, 1.0}).ValueOrDie();
-  Server b = Server::WithScales(4, {1.0, 2.0, 1.0}).ValueOrDie();
+  Server a = Server::Create({4, {1.0, 1.0, 1.0}}).ValueOrDie();
+  Server b = Server::Create({4, {1.0, 2.0, 1.0}}).ValueOrDie();
   ASSERT_TRUE(b.RegisterClient(1, 0).ok());
   ASSERT_TRUE(b.SubmitReport(1, 1, 1).ok());
   const Status status = a.MergeAggregatesOnly(b);
@@ -189,6 +193,106 @@ TEST(ServerTest, MergeRejectsMismatchedLevelScales) {
   EXPECT_EQ(merged.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(merged.message().find("level scales"), std::string::npos);
 }
+
+// One ServerShape field changed at a time. Every path on which two shapes
+// meet — an aggregate merge, a client-state merge (resharding) and a full
+// checkpoint restore — must refuse the pair with kInvalidArgument, name the
+// field, and leave its target unchanged.
+struct ShapeFieldCase {
+  const char* field;  // as ServerShape::FirstDifference names it
+  void (*mutate)(ServerShape* shape);
+};
+
+ServerShape BaseShape() {
+  return {8, {1.0, 2.0, 3.0, 4.0}, DedupPolicy::kIdempotent};
+}
+
+// One level-0 client `id` that reported +1 at time 1.
+Server OneClientServer(const ServerShape& shape, int64_t id) {
+  Server server = Server::Create(shape).ValueOrDie();
+  EXPECT_TRUE(server.RegisterClient(id, 0).ok());
+  EXPECT_TRUE(server.SubmitReport(id, 1, 1).ok());
+  return server;
+}
+
+// The same population behind a two-shard aggregator.
+ShardedAggregator OneClientAggregator(const ServerShape& shape, int64_t id) {
+  ShardedAggregator aggregator =
+      ShardedAggregator::Create(shape, 2).ValueOrDie();
+  const std::vector<RegistrationMessage> registrations = {{id, 0}};
+  const std::vector<ReportMessage> reports = {{id, 1, 1}};
+  EXPECT_TRUE(aggregator.IngestRegistrations(registrations).ok());
+  EXPECT_TRUE(aggregator.IngestReports(reports).ok());
+  return aggregator;
+}
+
+class ServerShapeFieldTest : public ::testing::TestWithParam<ShapeFieldCase> {
+ protected:
+  void ExpectRefusal(const Status& status) const {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(GetParam().field), std::string::npos)
+        << status.message();
+  }
+};
+
+TEST_P(ServerShapeFieldTest, EveryMeetingPathRefusesTheMismatch) {
+  ServerShape other = BaseShape();
+  GetParam().mutate(&other);
+  ASSERT_TRUE(other.Validate().ok());
+  ASSERT_STREQ(BaseShape().FirstDifference(other), GetParam().field);
+  ASSERT_EQ(BaseShape().FirstDifference(BaseShape()), nullptr);
+
+  Server target = OneClientServer(BaseShape(), 1);
+  const std::string target_state = EncodeServerState(target);
+  ExpectRefusal(target.MergeAggregatesOnly(OneClientServer(other, 2)));
+  EXPECT_EQ(EncodeServerState(target), target_state);
+
+  ExpectRefusal(MergeShards(OneClientServer(BaseShape(), 1),
+                            OneClientServer(other, 2))
+                    .status());
+
+  ShardedAggregator aggregator = OneClientAggregator(BaseShape(), 1);
+  const std::string checkpoint = aggregator.Checkpoint().ValueOrDie();
+  const std::vector<double> estimates = aggregator.EstimateAll().ValueOrDie();
+  ExpectRefusal(aggregator.Restore(
+      OneClientAggregator(other, 2).Checkpoint().ValueOrDie()));
+  EXPECT_EQ(aggregator.Checkpoint().ValueOrDie(), checkpoint);
+  EXPECT_EQ(aggregator.EstimateAll().ValueOrDie(), estimates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ServerShapeFieldTest,
+    ::testing::Values(
+        ShapeFieldCase{"num_periods",
+                       [](ServerShape* shape) {
+                         // A longer horizon needs one more dyadic order.
+                         shape->num_periods = 16;
+                         shape->level_scales.push_back(5.0);
+                       }},
+        ShapeFieldCase{"level scales",
+                       [](ServerShape* shape) {
+                         shape->level_scales[3] = 5.0;
+                       }},
+        ShapeFieldCase{"dedup policy",
+                       [](ServerShape* shape) {
+                         shape->dedup = DedupPolicy::kStrict;
+                       }},
+        ShapeFieldCase{"dedup window",
+                       [](ServerShape* shape) { shape->window = {4}; }},
+        ShapeFieldCase{"store config",
+                       [](ServerShape* shape) {
+                         shape->store = StoreConfig::Sketch(2, 8, 7);
+                       }},
+        ShapeFieldCase{"estimator spec",
+                       [](ServerShape* shape) {
+                         shape->estimator = {EstimatorSpec::Mode::kDirect,
+                                             0.25};
+                       }}),
+    [](const ::testing::TestParamInfo<ShapeFieldCase>& info) {
+      std::string name = info.param.field;
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
 
 TEST(ServerTest, MergeRejectsDuplicateClientIds) {
   Server a = UnitServer(4);
@@ -241,7 +345,7 @@ TEST(ServerTest, UnbiasedUnderFakeUniformReports) {
   // contributes scale * report to the top-level estimate.
   const auto orders = 3;  // d = 4
   Server server =
-      Server::WithScales(4, std::vector<double>(orders, 3.0)).ValueOrDie();
+      Server::Create({4, std::vector<double>(orders, 3.0)}).ValueOrDie();
   ASSERT_TRUE(server.RegisterClient(7, 2).ok());
   ASSERT_TRUE(server.SubmitReport(7, 4, 1).ok());
   // C(4) = {I(2,1)}: estimate = 3 * 1.
@@ -251,26 +355,26 @@ TEST(ServerTest, UnbiasedUnderFakeUniformReports) {
 }
 
 TEST(ServerStoreTest, InvalidSketchParamsFailAtConstruction) {
-  // Store problems surface from WithScales/ForProtocol, before any state
+  // Store problems surface from Create/ForProtocol, before any state
   // exists — never from a later decode or submit.
   const std::vector<double> scales(4, 1.0);
-  EXPECT_EQ(Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                              StoreConfig::Sketch(0, 64, 7))
+  EXPECT_EQ(Server::Create({8, scales, DedupPolicy::kStrict, {},
+                            StoreConfig::Sketch(0, 64, 7)})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                              StoreConfig::Sketch(3, 48, 7))
+  EXPECT_EQ(Server::Create({8, scales, DedupPolicy::kStrict, {},
+                            StoreConfig::Sketch(3, 48, 7)})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);  // width not a power of two
-  EXPECT_EQ(Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                              StoreConfig::Sketch(65, 64, 7))
+  EXPECT_EQ(Server::Create({8, scales, DedupPolicy::kStrict, {},
+                            StoreConfig::Sketch(65, 64, 7)})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                               StoreConfig::Sketch(3, 64, 7))
+  EXPECT_TRUE(Server::Create({8, scales, DedupPolicy::kStrict, {},
+                              StoreConfig::Sketch(3, 64, 7)})
                   .ok());
 
   ProtocolConfig config = TestConfig(8, 2, 1.0);
@@ -281,25 +385,25 @@ TEST(ServerStoreTest, InvalidSketchParamsFailAtConstruction) {
 
 TEST(ServerStoreTest, StoreConfigIsCanonicalAndDefaultsDense) {
   Server dense = UnitServer(8);
-  EXPECT_EQ(dense.store_config(), StoreConfig::Dense());
+  EXPECT_EQ(dense.shape().store, StoreConfig::Dense());
   const StoreConfig sketch = StoreConfig::Sketch(3, 64, 7);
   Server sketched =
-      Server::WithScales(8, std::vector<double>(4, 1.0),
-                         DedupPolicy::kStrict, {}, sketch)
+      Server::Create(
+          {8, std::vector<double>(4, 1.0), DedupPolicy::kStrict, {}, sketch})
           .ValueOrDie();
-  EXPECT_EQ(sketched.store_config(), sketch);
+  EXPECT_EQ(sketched.shape().store, sketch);
 }
 
 TEST(ServerStoreTest, MergeRejectsMismatchedStoreConfigs) {
   const std::vector<double> scales(4, 1.0);
-  Server dense = Server::WithScales(8, scales).ValueOrDie();
+  Server dense = Server::Create({8, scales}).ValueOrDie();
   Server sketched =
-      Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                         StoreConfig::Sketch(3, 64, 7))
+      Server::Create({8, scales, DedupPolicy::kStrict, {},
+                      StoreConfig::Sketch(3, 64, 7)})
           .ValueOrDie();
   Server other_seed =
-      Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                         StoreConfig::Sketch(3, 64, 8))
+      Server::Create({8, scales, DedupPolicy::kStrict, {},
+                      StoreConfig::Sketch(3, 64, 8)})
           .ValueOrDie();
   EXPECT_FALSE(dense.MergeAggregatesOnly(sketched).ok());
   EXPECT_FALSE(sketched.MergeAggregatesOnly(other_seed).ok());
@@ -311,10 +415,10 @@ TEST(ServerStoreTest, SketchServerEstimatesExactlyInTheWideRegime) {
   // W >= d: no level sketches, so the estimate pipeline is identical to
   // the dense server report-for-report.
   const std::vector<double> scales(4, 1.0);
-  Server dense = Server::WithScales(8, scales).ValueOrDie();
+  Server dense = Server::Create({8, scales}).ValueOrDie();
   Server sketched =
-      Server::WithScales(8, scales, DedupPolicy::kStrict, {},
-                         StoreConfig::Sketch(2, 8, 7))
+      Server::Create({8, scales, DedupPolicy::kStrict, {},
+                      StoreConfig::Sketch(2, 8, 7)})
           .ValueOrDie();
   for (Server* server : {&dense, &sketched}) {
     ASSERT_TRUE(server->RegisterClient(1, 0).ok());

@@ -5,6 +5,7 @@
 // restore silently.
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -55,14 +56,14 @@ TEST(ServerStateTest, EncodingIsDeterministic) {
 
 TEST(ServerStateTest, EmptyServerRoundTrips) {
   const Server server =
-      Server::WithScales(8, {1.0, 2.0, 3.0, 4.0}, DedupPolicy::kStrict)
+      Server::Create({8, {1.0, 2.0, 3.0, 4.0}, DedupPolicy::kStrict})
           .ValueOrDie();
   const Server restored =
       DecodeServerState(EncodeServerState(server)).ValueOrDie();
-  EXPECT_EQ(restored.num_periods(), 8);
+  EXPECT_EQ(restored.shape().num_periods, 8);
   EXPECT_EQ(restored.num_clients(), 0);
-  EXPECT_EQ(restored.dedup_policy(), DedupPolicy::kStrict);
-  EXPECT_EQ(restored.level_scales(), server.level_scales());
+  EXPECT_EQ(restored.shape().dedup, DedupPolicy::kStrict);
+  EXPECT_EQ(restored.shape().level_scales, server.shape().level_scales);
   EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
             server.EstimateAll().ValueOrDie());
 }
@@ -74,7 +75,7 @@ TEST_P(ServerStatePolicyTest, RoundTripIsBitIdentical) {
   const std::string blob = EncodeServerState(server);
   const Server restored = DecodeServerState(blob).ValueOrDie();
   EXPECT_EQ(restored.num_clients(), server.num_clients());
-  EXPECT_EQ(restored.dedup_policy(), server.dedup_policy());
+  EXPECT_EQ(restored.shape().dedup, server.shape().dedup);
   EXPECT_EQ(restored.duplicates_dropped(), server.duplicates_dropped());
   EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
             server.EstimateAll().ValueOrDie());
@@ -168,6 +169,59 @@ TEST(ServerStateTest, TrailingBytesAreRejected) {
 // ---------------------------------------------------------------------------
 // Aggregator checkpoint/restore.
 
+// Client ids are opaque int64 values from outside the process, so ids at
+// both ends of the range must delta-code, index and snapshot without signed
+// overflow: every id delta is taken modulo 2^64.
+TEST(ExtremeClientIdTest, IdsAtBothEndsOfTheRangeRoundTrip) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // kMax then kMin: the second delta wraps (zigzag(kMax), then +1).
+  const std::vector<RegistrationMessage> registrations = {
+      {1, 0}, {kMax, 0}, {kMin, 0}, {kMax - 1, 0}, {0, 0}};
+  EXPECT_EQ(DecodeRegistrationBatch(EncodeRegistrationBatch(registrations))
+                .ValueOrDie(),
+            registrations);
+  const std::vector<ReportMessage> reports = {
+      {kMax, 1, 1}, {kMin, 1, -1}, {1, 2, 1}, {kMin, 2, 1}, {kMax, 3, -1}};
+  EXPECT_EQ(DecodeReportBatch(EncodeReportBatch(reports).ValueOrDie())
+                .ValueOrDie(),
+            reports);
+
+  Server server =
+      Server::ForProtocol(TestConfig(), DedupPolicy::kIdempotent)
+          .ValueOrDie();
+  ASSERT_TRUE(server.RegisterClient(1, 0).ok());
+  // Looked up against a progression that starts at 1.
+  EXPECT_EQ(server.SubmitReport(kMin, 1, 1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(server.SubmitReport(kMax, 1, 1).code(), StatusCode::kNotFound);
+  for (const RegistrationMessage& message : registrations) {
+    ASSERT_TRUE(server.RegisterClient(message.client_id, message.level).ok());
+  }
+  EXPECT_EQ(server.num_clients(), 5);
+  EXPECT_EQ(server.duplicates_dropped(), 1);  // id 1 registered twice
+  for (const ReportMessage& message : reports) {
+    ASSERT_TRUE(
+        server.SubmitReport(message.client_id, message.time, message.value)
+            .ok());
+  }
+  ASSERT_TRUE(server.SubmitReport(kMin, 1, -1).ok());  // a retransmission
+  EXPECT_EQ(server.duplicates_dropped(), 2);
+
+  const std::string blob = EncodeServerState(server);
+  EXPECT_EQ(PeekBatchKind(blob).ValueOrDie(), WireBatchKind::kServerState);
+  Server restored = DecodeServerState(blob).ValueOrDie();
+  EXPECT_EQ(EncodeServerState(restored), blob);
+  EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
+            server.EstimateAll().ValueOrDie());
+  // The restored index still finds both extremes.
+  ASSERT_TRUE(restored.RegisterClient(kMin, 0).ok());
+  ASSERT_TRUE(restored.SubmitReport(kMax, 3, -1).ok());
+  EXPECT_EQ(restored.duplicates_dropped(), 4);
+  EXPECT_TRUE(restored.SubmitReport(kMax - 1, 4, 1).ok());
+  EXPECT_EQ(restored.SubmitReport(kMax - 2, 4, 1).code(),
+            StatusCode::kNotFound);
+}
+
 struct Traffic {
   std::vector<RegistrationMessage> registrations;
   std::vector<ReportBatch> batches;
@@ -259,10 +313,10 @@ TEST(AggregatorCheckpointTest, RestoreValidatesShape) {
   EXPECT_FALSE(idempotent.Restore(snapshot).ok());
   // Wrong scales.
   ShardedAggregator unit_scales =
-      ShardedAggregator::WithScales(
-          TestConfig().num_periods,
-          std::vector<double>(static_cast<size_t>(TestConfig().num_orders()),
-                              1.0),
+      ShardedAggregator::Create(
+          {TestConfig().num_periods,
+           std::vector<double>(static_cast<size_t>(TestConfig().num_orders()),
+                               1.0)},
           2)
           .ValueOrDie();
   EXPECT_FALSE(unit_scales.Restore(snapshot).ok());
@@ -681,7 +735,7 @@ TEST(SketchServerStateTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(PeekBatchKind(blob).ValueOrDie(),
             WireBatchKind::kServerStateSketch);
   const Server restored = DecodeServerState(blob).ValueOrDie();
-  EXPECT_EQ(restored.store_config(), server.store_config());
+  EXPECT_EQ(restored.shape().store, server.shape().store);
   EXPECT_EQ(restored.num_clients(), server.num_clients());
   EXPECT_EQ(restored.EstimateAll().ValueOrDie(),
             server.EstimateAll().ValueOrDie());

@@ -78,9 +78,9 @@ ValidPayloads MakePayloads(uint64_t seed) {
                        rng.NextSign()});
   }
   Server server =
-      Server::WithScales(16, {1.0, 2.0, 3.0, 4.0, 5.0},
-                         rng.NextBernoulli(0.5) ? DedupPolicy::kIdempotent
-                                                : DedupPolicy::kStrict)
+      Server::Create({16, {1.0, 2.0, 3.0, 4.0, 5.0},
+                      rng.NextBernoulli(0.5) ? DedupPolicy::kIdempotent
+                                             : DedupPolicy::kStrict})
           .ValueOrDie();
   for (int64_t u = 0; u < 10; ++u) {
     EXPECT_TRUE(
@@ -93,9 +93,8 @@ ValidPayloads MakePayloads(uint64_t seed) {
   // A sketch-backed twin of the server: R*W = 8 < 16 intervals, so level
   // 0 is genuinely hash-bucketed and the kind-8 blob carries a real arena.
   Server sketch_server =
-      Server::WithScales(16, {1.0, 2.0, 3.0, 4.0, 5.0},
-                         DedupPolicy::kIdempotent, {},
-                         StoreConfig::Sketch(1, 8, seed + 7))
+      Server::Create({16, {1.0, 2.0, 3.0, 4.0, 5.0}, DedupPolicy::kIdempotent,
+                      {}, StoreConfig::Sketch(1, 8, seed + 7)})
           .ValueOrDie();
   for (int64_t u = 0; u < 10; ++u) {
     EXPECT_TRUE(
@@ -110,8 +109,8 @@ ValidPayloads MakePayloads(uint64_t seed) {
   direct.mode = EstimatorSpec::Mode::kDirect;
   direct.direct_offset = -0.25;
   Server direct_server =
-      Server::WithScales(16, {2.0, 0.0, 0.0, 0.0, 0.0},
-                         DedupPolicy::kIdempotent, {}, {}, direct)
+      Server::Create({16, {2.0, 0.0, 0.0, 0.0, 0.0}, DedupPolicy::kIdempotent,
+                      {}, {}, direct})
           .ValueOrDie();
   for (int64_t u = 0; u < 10; ++u) {
     EXPECT_TRUE(direct_server.RegisterClient(u, 0).ok());

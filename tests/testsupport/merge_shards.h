@@ -15,8 +15,9 @@
 namespace futurerand::testsupport {
 
 /// One server holding both sides' sums, clients and dedup state. Errors
-/// like ReshardServerStates: on mismatched shape, scales, store, estimator
-/// or dedup policy/window, and on a client id both sides registered.
+/// like ReshardServerStates: on a ServerShape mismatch in any of its six
+/// fields (num_periods, level scales, dedup policy, dedup window, store
+/// config, estimator spec), and on a client id both sides registered.
 inline Result<core::Server> MergeShards(core::Server a, core::Server b) {
   std::vector<core::Server> sources;
   sources.push_back(std::move(a));
