@@ -11,10 +11,12 @@
 //    "mean_abs_error":...,"reports_per_user":...,"bytes_per_report":...,
 //    "client_us_per_report":...,"server_us_per_report":...}
 //
-// bytes_per_report divides the encoded v2 batch bytes actually shipped by
-// the report count; client/server CPU are the tick+encode and decode+ingest
-// wall times on a single thread, measured on sim::DriveFleet, the tick
-// loop RunProtocol and frload share. The longitudinal protocols trade
+// bytes_per_report divides the encoded v2 batch bytes actually shipped
+// (registrations included) by the report count. Client and server CPU are
+// single-thread wall times that sim::DriveFleet — the tick loop
+// RunProtocol and frload share — measures: client = tick + report encode,
+// server = registration (encode + ingest) + report decode and ingest +
+// EstimateAll. The longitudinal protocols trade
 // ~log d fewer reports per user for an every-tick cadence — this bench is
 // where that trade is visible in one table.
 
@@ -27,7 +29,6 @@
 #include "futurerand/common/timer.h"
 #include "futurerand/core/aggregator.h"
 #include "futurerand/core/fleet.h"
-#include "futurerand/core/wire.h"
 #include "futurerand/randomizer/randomizer.h"
 #include "futurerand/sim/metrics.h"
 #include "futurerand/sim/runner.h"
@@ -53,7 +54,7 @@ struct Measured {
   int64_t reports = 0;
   int64_t bytes = 0;
   double client_seconds = 0.0;  // tick + randomize + encode
-  double server_seconds = 0.0;  // decode + ingest + estimate
+  double server_seconds = 0.0;  // register + decode + ingest + estimate
 };
 
 Result<Measured> RunOnce(sim::ProtocolKind protocol,
@@ -67,43 +68,31 @@ Result<Measured> RunOnce(sim::ProtocolKind protocol,
   Measured total;
   for (int r = 0; r < reps; ++r) {
     // The RunRepeated seed convention, so errors here match the harness.
-    const uint64_t workload_seed = seed + static_cast<uint64_t>(2 * r + 1);
-    const uint64_t protocol_seed = seed + static_cast<uint64_t>(2 * r + 2);
+    const sim::RepetitionSeeds seeds = sim::SeedsForRepetition(seed, r);
     FR_ASSIGN_OR_RETURN(const sim::Workload workload,
                         sim::Workload::Generate(workload_config,
-                                                workload_seed));
+                                                seeds.workload));
     FR_ASSIGN_OR_RETURN(core::ClientFleet fleet,
-                        core::ClientFleet::Create(config, n, protocol_seed));
+                        core::ClientFleet::Create(config, n, seeds.protocol));
     FR_ASSIGN_OR_RETURN(core::ShardedAggregator aggregator,
                         core::ShardedAggregator::ForProtocol(config, 1));
-    WallTimer timer;
-    const std::string registrations =
-        core::EncodeRegistrationBatch(fleet.registrations());
-    total.bytes += static_cast<int64_t>(registrations.size());
-    total.client_seconds += timer.LapSeconds();
-    FR_RETURN_NOT_OK(aggregator.IngestEncoded(registrations));
-    total.server_seconds += timer.LapSeconds();
-    // sim::DriveFleet plays the workload over an ideal transport; the ship
-    // callable times encode (client side) and ingest (server side).
-    auto ship = [&](const core::ReportBatch& batch, int64_t /*index*/,
-                    sim::ChannelModel* /*channel*/) -> Status {
-      timer.Restart();
-      FR_ASSIGN_OR_RETURN(const std::string encoded,
-                          core::EncodeReportBatch(batch));
-      total.client_seconds += timer.LapSeconds();
-      total.bytes += static_cast<int64_t>(encoded.size());
-      FR_RETURN_NOT_OK(aggregator.IngestEncoded(encoded));
-      total.server_seconds += timer.LapSeconds();
-      return Status::OK();
+    // sim::DriveFleet plays the workload over an ideal transport and
+    // encodes every batch; the callables only count and ingest the bytes.
+    auto ingest = [&](const std::string& bytes) -> Status {
+      total.bytes += static_cast<int64_t>(bytes.size());
+      return aggregator.IngestEncoded(bytes);
     };
+    auto ship = [&](const std::string& bytes, int64_t /*index*/,
+                    sim::ChannelModel* /*channel*/) { return ingest(bytes); };
     sim::DeliveryMetrics delivery;
     FR_ASSIGN_OR_RETURN(
         const sim::DriveStats drive,
-        sim::DriveFleet(fleet, workload, sim::FaultOptions{}, protocol_seed,
-                        nullptr, ship, nullptr, nullptr, &delivery));
-    total.client_seconds += drive.tick_seconds;
+        sim::DriveFleet(fleet, workload, sim::FaultOptions{}, seeds.protocol,
+                        nullptr, ship, ingest, nullptr, &delivery));
+    total.client_seconds += drive.tick_seconds + drive.encode_seconds;
+    total.server_seconds += drive.register_seconds + drive.ship_seconds;
     total.reports += drive.reports;
-    timer.Restart();
+    WallTimer timer;
     FR_ASSIGN_OR_RETURN(const std::vector<double> estimates,
                         aggregator.EstimateAll());
     total.server_seconds += timer.ElapsedSeconds();

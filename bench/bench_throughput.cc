@@ -1,7 +1,7 @@
 // E11 — end-to-end service throughput. Drives the batch-first pipeline the
 // production deployment would run:
 //
-//   ClientFleet.AdvanceTick -> EncodeReportBatch -> wire bytes
+//   ClientFleet.AdvanceTick -> report encode -> wire bytes
 //       -> ShardedAggregator.IngestEncoded -> EstimateAll
 //
 // and reports the wall time and rate of every stage, plus (optionally) a
@@ -13,12 +13,12 @@
 //   bench_throughput --n=400 --d=64 --k=2 --json
 //
 // The stages stream through sim::DriveFleet, the same tick loop RunProtocol
-// and frload run: DriveFleet times AdvanceTick, and the ship callable times
-// encode and ingest apart. With --corrupt-rate the channel DriveFleet owns
-// flips bits in flight and ingest runs the detection-driven retransmission
-// loop (the receiver's kDataLoss verdict on the batch checksum triggers the
-// resend); the NACK and retransmission counts land in the JSON line next
-// to corrupt_rate.
+// and frload run: DriveFleet registers the fleet, encodes every batch and
+// times AdvanceTick, the encode and the ship callable (ingest) apart. With
+// --corrupt-rate the channel DriveFleet owns flips bits in flight and
+// ingest runs the detection-driven retransmission loop (the receiver's
+// kDataLoss verdict on the batch checksum triggers the resend); the NACK
+// and retransmission counts land in the JSON line next to corrupt_rate.
 
 #include <cmath>
 #include <cstdint>
@@ -45,8 +45,6 @@ using namespace futurerand;
 
 struct PipelineStats {
   double create_seconds = 0.0;
-  double encode_seconds = 0.0;  // EncodeReportBatch over all batches
-  double ingest_seconds = 0.0;  // IngestEncoded (+ resends) over all batches
   double query_seconds = 0.0;   // EstimateAll
   double checkpoint_seconds = 0.0;  // Checkpoint + Restore round-trip
   double delta_seconds = 0.0;       // delta Checkpoint (--checkpoint-mode)
@@ -56,7 +54,7 @@ struct PipelineStats {
   int64_t dirty_shards = 0;      // shards dirtied before the delta (~1%)
   int64_t state_bytes = 0;       // ApproxMemoryBytes after the full stream
   double final_estimate = 0.0;  // consume the output so nothing is elided
-  sim::DriveStats drive;          // reports and AdvanceTick seconds
+  sim::DriveStats drive;          // reports; tick/encode/ingest seconds
   sim::DeliveryMetrics delivery;  // channel, NACK and retransmit counters
 };
 
@@ -97,29 +95,22 @@ Result<PipelineStats> RunPipeline(const core::ProtocolConfig& config,
       core::ShardedAggregator aggregator,
       core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
                                            faults.dedup_window));
-  const std::string registration_bytes =
-      core::EncodeRegistrationBatch(fleet.registrations());
-  stats.wire_bytes += static_cast<int64_t>(registration_bytes.size());
-  FR_RETURN_NOT_OK(aggregator.IngestEncoded(registration_bytes, pool));
-
   // Every batch ships through the delivery policy RunProtocol uses — one
   // copy of it, so the bench can never drift from what the runner does.
-  auto ship = [&](const core::ReportBatch& batch, int64_t /*index*/,
+  auto ship = [&](const std::string& bytes, int64_t /*index*/,
                   sim::ChannelModel* channel) -> Status {
-    timer.Restart();
-    FR_ASSIGN_OR_RETURN(const std::string bytes,
-                        core::EncodeReportBatch(batch));
-    stats.encode_seconds += timer.LapSeconds();
     stats.wire_bytes += static_cast<int64_t>(bytes.size());
-    FR_RETURN_NOT_OK(sim::DeliverEncodedWithRetransmission(
+    return sim::DeliverEncodedWithRetransmission(
         aggregator, bytes, channel, faults.retransmit_budget, pool,
-        &stats.delivery));
-    stats.ingest_seconds += timer.LapSeconds();
-    return Status::OK();
+        &stats.delivery);
+  };
+  auto register_batch = [&](const std::string& bytes) -> Status {
+    stats.wire_bytes += static_cast<int64_t>(bytes.size());
+    return aggregator.IngestEncoded(bytes, pool);
   };
   FR_ASSIGN_OR_RETURN(stats.drive,
                       sim::DriveFleet(fleet, workload, faults, seed, pool,
-                                      ship, nullptr, nullptr,
+                                      ship, register_batch, nullptr,
                                       &stats.delivery));
 
   timer.Restart();
@@ -333,6 +324,8 @@ int Run(int argc, char** argv) {
   const int64_t user_periods = n * d;
   const int64_t reports = stats->drive.reports;
   const double tick_seconds = stats->drive.tick_seconds;
+  const double encode_seconds = stats->drive.encode_seconds;
+  const double ingest_seconds = stats->drive.ship_seconds;
   // Per-shard cost of the aggregate cells alone (sans dedup bitmaps),
   // under both backends — the number the sketch exists to shrink.
   const int64_t store_bytes_per_shard =
@@ -363,22 +356,22 @@ int Run(int argc, char** argv) {
         .Add("wire_bytes", stats->wire_bytes)
         .Add("fleet_create_sec", stats->create_seconds)
         .Add("tick_sec", tick_seconds)
-        .Add("encode_sec", stats->encode_seconds)
-        .Add("ingest_sec", stats->ingest_seconds)
+        .Add("encode_sec", encode_seconds)
+        .Add("ingest_sec", ingest_seconds)
         .Add("estimate_all_sec", stats->query_seconds)
         .Add("checkpoint_sec", stats->checkpoint_seconds)
         .Add("checkpoint_bytes", stats->checkpoint_bytes)
         .Add("state_bytes", stats->state_bytes)
         .Add("user_periods_per_sec", Rate(user_periods, tick_seconds))
-        .Add("reports_per_sec", Rate(reports, stats->ingest_seconds))
+        .Add("reports_per_sec", Rate(reports, ingest_seconds))
         // Per-stage records/sec, one field per pipeline stage so the CI
         // regression gate (scripts/check_bench_regression.sh) can compare
         // each stage against the committed baseline independently. "Record"
         // is the stage's natural unit: user-periods for tick, reports for
         // encode/ingest, periods for query.
         .Add("tick_records_per_sec", Rate(user_periods, tick_seconds))
-        .Add("encode_records_per_sec", Rate(reports, stats->encode_seconds))
-        .Add("ingest_records_per_sec", Rate(reports, stats->ingest_seconds))
+        .Add("encode_records_per_sec", Rate(reports, encode_seconds))
+        .Add("ingest_records_per_sec", Rate(reports, ingest_seconds))
         .Add("query_records_per_sec", Rate(d, stats->query_seconds));
     if (*mode == core::CheckpointMode::kDelta) {
       line.Add("dirty_shards", stats->dirty_shards)
@@ -416,8 +409,8 @@ int Run(int argc, char** argv) {
   };
   add_row("fleet create", stats->create_seconds, n);
   add_row("advance ticks", tick_seconds, user_periods);
-  add_row("encode wire", stats->encode_seconds, stats->wire_bytes);
-  add_row("ingest encoded", stats->ingest_seconds, reports);
+  add_row("encode wire", encode_seconds, stats->wire_bytes);
+  add_row("ingest encoded", ingest_seconds, reports);
   if (corrupt_rate > 0.0) {
     // Retry cost is folded into the "ingest encoded" row above; this row
     // only counts the NACKed deliveries that were re-sent.

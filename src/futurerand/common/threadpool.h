@@ -55,6 +55,17 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs `body(begin, end)` over [0, n): split across `pool` when there is
+/// one and n > 1, otherwise inline as one `body(0, n)` call.
+template <typename Body>
+void ParallelForOrInline(ThreadPool* pool, int64_t n, const Body& body) {
+  if (pool != nullptr && n > 1) {
+    pool->ParallelFor(n, body);
+  } else {
+    body(int64_t{0}, n);
+  }
+}
+
 }  // namespace futurerand
 
 #endif  // FUTURERAND_COMMON_THREADPOOL_H_

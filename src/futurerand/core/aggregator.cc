@@ -155,18 +155,12 @@ Status ShardedAggregator::IngestBatch(std::span<const Message> batch,
         IngestOutcome{accepted - deduped - out_of_window, deduped,
                       out_of_window};
   };
-  if (pool != nullptr && shards_.size() > 1) {
-    pool->ParallelFor(static_cast<int64_t>(shards_.size()),
+  ParallelForOrInline(pool, static_cast<int64_t>(shards_.size()),
                       [&](int64_t begin, int64_t end) {
                         for (int64_t s = begin; s < end; ++s) {
                           ingest_shard(static_cast<size_t>(s));
                         }
                       });
-  } else {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      ingest_shard(s);
-    }
-  }
   if (outcome != nullptr) {
     for (const IngestOutcome& shard : shard_outcome) {
       outcome->applied += shard.applied;

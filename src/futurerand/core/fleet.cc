@@ -89,11 +89,7 @@ Result<ClientFleet> ClientFleet::Create(const ProtocolConfig& config,
     }
   };
   const auto num_chunks = static_cast<int64_t>(fleet.randomizers_.size());
-  if (pool != nullptr && num_chunks > 1) {
-    pool->ParallelFor(num_chunks, create_chunks);
-  } else {
-    create_chunks(0, num_chunks);
-  }
+  ParallelForOrInline(pool, num_chunks, create_chunks);
 
   // Precompute the nested reporting cohorts (id order within each): client
   // u is due at tick t iff 2^level divides t, i.e. level <= countr_zero(t).
@@ -187,11 +183,7 @@ void ClientFleet::TickValidated(std::span<const int8_t> states,
     }
   };
   const auto cohort_size = static_cast<int64_t>(cohort.size());
-  if (pool_ != nullptr && cohort_size > 1) {
-    pool_->ParallelFor(cohort_size, randomize_range);
-  } else {
-    randomize_range(0, cohort_size);
-  }
+  ParallelForOrInline(pool_, cohort_size, randomize_range);
   reports_emitted_ += static_cast<int64_t>(batch->size());
 }
 

@@ -269,8 +269,13 @@ Result<std::string> EncodeReportBatch(
       return Status::InvalidArgument("report times are 1-based");
     }
     PutVarint64(DeltaEncode(message.client_id, previous_id), &out);
-    // Pack the sign into the low bit of the zigzagged time delta.
+    // Pack the sign into the low bit of the zigzagged time delta, which
+    // leaves the delta 63 bits.
     const uint64_t time_delta = DeltaEncode(message.time, previous_time);
+    if (time_delta >> 63 != 0) {
+      return Status::InvalidArgument(
+          "report time delta outside [-2^62, 2^62) cannot be encoded");
+    }
     PutVarint64(time_delta << 1 | (message.value == 1 ? 1u : 0u), &out);
     previous_id = message.client_id;
     previous_time = message.time;

@@ -106,7 +106,9 @@ Result<std::vector<RegistrationMessage>> DecodeRegistrationBatch(
     std::string_view bytes);
 
 /// Serializes a report batch with its FNV-1a trailer. Values must be -1
-/// or +1 (checked).
+/// or +1, and each time t must satisfy -2^62 <= t - p < 2^62 against the
+/// previous record's time p (0 before the first). Both are checked
+/// (kInvalidArgument).
 Result<std::string> EncodeReportBatch(
     const std::vector<ReportMessage>& batch,
     WireVersion version = WireVersion::kV2);

@@ -679,11 +679,12 @@ Status IngestServer::DoCheckpoint(bool final) {
   ingests_since_checkpoint_ = 0;
   const std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.checkpoints_taken;
+  // The delta split mirrors sim::DeliveryMetrics: checkpoint_bytes counts
+  // every blob, delta_checkpoint_bytes the deltas among them.
   stats_.checkpoint_bytes += static_cast<int64_t>(blob.size());
   if (!full) {
     ++stats_.delta_checkpoints_taken;
-    // checkpoint_bytes counts all blobs; the delta split mirrors
-    // sim::DeliveryMetrics.
+    stats_.delta_checkpoint_bytes += static_cast<int64_t>(blob.size());
   }
   return Status::OK();
 }

@@ -103,7 +103,8 @@ struct ServiceConfig {
   X(int64_t, records_out_of_window)                                           \
   X(int64_t, checkpoints_taken)                                               \
   X(int64_t, delta_checkpoints_taken)                                         \
-  X(int64_t, checkpoint_bytes)
+  X(int64_t, checkpoint_bytes)                                                \
+  X(int64_t, delta_checkpoint_bytes) /* of checkpoint_bytes, delta blobs */
 
 /// Monotonic counters, readable from any thread while the server runs.
 /// Registration batches and report batches are counted apart (the worker

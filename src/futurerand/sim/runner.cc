@@ -53,10 +53,10 @@ class FirstError {
 };
 
 // Runs Algorithms 1+2 with the sequence randomizer selected in `config`:
-// DriveFleet advances a ClientFleet one period per tick and the resulting
-// report batches stream into a ShardedAggregator — through a lossy
-// ChannelModel and periodic checkpoint/restore round-trips when `faults`
-// asks for them.
+// DriveFleet advances a ClientFleet one period per tick and the encoded
+// batches stream into a ShardedAggregator through one delivery path —
+// across a lossy ChannelModel and periodic checkpoint/restore round-trips
+// when `faults` asks for them.
 Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
                                   const Workload& workload, uint64_t seed,
                                   ThreadPool* pool, int num_shards,
@@ -69,32 +69,18 @@ Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
       core::ShardedAggregator aggregator,
       core::ShardedAggregator::ForProtocol(config, shards, faults.dedup,
                                            faults.dedup_window));
-  FR_RETURN_NOT_OK(
-      aggregator.IngestRegistrations(fleet.registrations(), pool));
 
   RunResult result;
-  // An ideal transport hands the batch straight over. A faulty one ships
-  // the real wire encoding, so in-flight corruption hits actual bytes and
-  // the receiver's checksum verdict drives the retry.
-  auto ship = [&](const core::ReportBatch& batch, int64_t /*index*/,
+  auto ship = [&](const std::string& pristine, int64_t /*index*/,
                   ChannelModel* channel) -> Status {
-    if (channel == nullptr) {
-      core::IngestOutcome outcome;
-      FR_RETURN_NOT_OK(aggregator.IngestReports(batch, pool, &outcome));
-      core::AddIngestOutcome(outcome, &result.delivery);
-      return Status::OK();
-    }
-    FR_ASSIGN_OR_RETURN(const std::string pristine,
-                        core::EncodeReportBatch(batch));
     return DeliverEncodedWithRetransmission(aggregator, pristine, channel,
                                             faults.retransmit_budget, pool,
                                             &result.delivery);
   };
-  // A joiner's duplicate registration is absorbed by kIdempotent dedup.
-  auto reregister =
-      [&](const std::vector<core::RegistrationMessage>& joiners) -> Status {
-    return aggregator.IngestEncoded(core::EncodeRegistrationBatch(joiners),
-                                    pool);
+  // The fleet registers once; a churn joiner's repeated registration is
+  // absorbed by kIdempotent dedup.
+  auto register_batch = [&](const std::string& bytes) -> Status {
+    return aggregator.IngestEncoded(bytes, pool);
   };
 
   // The durable checkpoint chain a crashed collector would replay: the
@@ -144,7 +130,8 @@ Result<RunResult> RunHierarchical(const core::ProtocolConfig& config,
 
   FR_ASSIGN_OR_RETURN(const DriveStats drive,
                       DriveFleet(fleet, workload, faults, seed, pool, ship,
-                                 reregister, checkpoint, &result.delivery));
+                                 register_batch, checkpoint,
+                                 &result.delivery));
   result.reports_submitted = drive.reports;
   if (config.consistent_estimation) {
     FR_ASSIGN_OR_RETURN(result.estimates,
@@ -215,11 +202,7 @@ Result<RunResult> RunErlingsson(const core::ProtocolConfig& config,
     reports.fetch_add(static_cast<int64_t>(batch.size()));
   };
 
-  if (pool != nullptr && workload.num_users() > 1) {
-    pool->ParallelFor(workload.num_users(), process_range);
-  } else {
-    process_range(0, workload.num_users());
-  }
+  ParallelForOrInline(pool, workload.num_users(), process_range);
   FR_RETURN_NOT_OK(first_error.Get());
 
   RunResult result;
@@ -270,11 +253,7 @@ Result<RunResult> RunNaiveRR(const core::ProtocolConfig& config,
     reports.fetch_add((end - begin) * config.num_periods);
   };
 
-  if (pool != nullptr && workload.num_users() > 1) {
-    pool->ParallelFor(workload.num_users(), process_range);
-  } else {
-    process_range(0, workload.num_users());
-  }
+  ParallelForOrInline(pool, workload.num_users(), process_range);
   FR_RETURN_NOT_OK(first_error.Get());
 
   RunResult result;
@@ -391,7 +370,7 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
                               const Workload& workload,
                               const FaultOptions& faults, uint64_t seed,
                               ThreadPool* pool, const ShipBatchFn& ship,
-                              const ReregisterFn& reregister,
+                              const RegisterBatchFn& register_batch,
                               const TickHookFn& after_tick,
                               DeliveryMetrics* delivery) {
   const int64_t n = workload.num_users();
@@ -412,10 +391,6 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
   std::vector<std::vector<core::RegistrationMessage>> joiners_by_tick;
   if (workload.has_presence() &&
       faults.dedup == core::DedupPolicy::kIdempotent) {
-    if (!reregister) {
-      return Status::InvalidArgument(
-          "a churn workload under kIdempotent needs a reregister callable");
-    }
     joiners_by_tick.resize(static_cast<size_t>(d) + 1);
     for (int64_t u = 0; u < n; ++u) {
       const int64_t join = workload.presence()[static_cast<size_t>(u)].join;
@@ -427,15 +402,28 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
     }
   }
 
+  // Each stage's wall time is one lap of `timer`.
+  DriveStats stats;
+  WallTimer timer;
+  FR_RETURN_NOT_OK(
+      register_batch(core::EncodeRegistrationBatch(fleet.registrations())));
+  stats.register_seconds += timer.LapSeconds();
+  auto encode_and_ship = [&](const core::ReportBatch& reports,
+                             int64_t index) -> Status {
+    FR_ASSIGN_OR_RETURN(const std::string bytes,
+                        core::EncodeReportBatch(reports));
+    stats.encode_seconds += timer.LapSeconds();
+    FR_RETURN_NOT_OK(ship(bytes, index, link));
+    stats.ship_seconds += timer.LapSeconds();
+    return Status::OK();
+  };
+
   // The workload stores per-user change times; play them as a sequence of
-  // state vectors, one tick at a time. Each stage's wall time is one lap
-  // of `timer`.
+  // state vectors, one tick at a time.
   std::vector<int8_t> states(static_cast<size_t>(n), 0);
   std::vector<size_t> next_change(static_cast<size_t>(n), 0);
   core::ReportBatch batch;
   core::ReportBatch delivered;
-  DriveStats stats;
-  WallTimer timer;
   for (int64_t t = 1; t <= d; ++t) {
     timer.Restart();
     auto update_states = [&](int64_t begin, int64_t end) {
@@ -450,20 +438,17 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
         }
       }
     };
-    if (pool != nullptr && n > 1) {
-      pool->ParallelFor(n, update_states);
-    } else {
-      update_states(0, n);
-    }
+    ParallelForOrInline(pool, n, update_states);
     stats.replay_seconds += timer.LapSeconds();
     if (!joiners_by_tick.empty() &&
         !joiners_by_tick[static_cast<size_t>(t)].empty()) {
       // This tick's joiners announce themselves before their first report.
       const std::vector<core::RegistrationMessage>& joiners =
           joiners_by_tick[static_cast<size_t>(t)];
-      FR_RETURN_NOT_OK(reregister(joiners));
+      FR_RETURN_NOT_OK(
+          register_batch(core::EncodeRegistrationBatch(joiners)));
       delivery->registrations_replayed += static_cast<int64_t>(joiners.size());
-      stats.reregister_seconds += timer.LapSeconds();
+      stats.register_seconds += timer.LapSeconds();
     }
     FR_RETURN_NOT_OK(fleet.AdvanceTick(states, &batch));
     stats.reports += static_cast<int64_t>(batch.size());
@@ -471,11 +456,10 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
     if (link != nullptr) {
       link->Transmit(batch, &delivered);
       stats.channel_seconds += timer.LapSeconds();
-      FR_RETURN_NOT_OK(ship(delivered, t - 1, link));
+      FR_RETURN_NOT_OK(encode_and_ship(delivered, t - 1));
     } else {
-      FR_RETURN_NOT_OK(ship(batch, t - 1, nullptr));
+      FR_RETURN_NOT_OK(encode_and_ship(batch, t - 1));
     }
-    stats.ship_seconds += timer.LapSeconds();
     if (after_tick) {
       FR_RETURN_NOT_OK(after_tick(t));
       stats.after_tick_seconds += timer.LapSeconds();
@@ -496,8 +480,7 @@ Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
     link->FlushDelayed(&delivered);
     stats.channel_seconds += timer.LapSeconds();
     if (!delivered.empty()) {
-      FR_RETURN_NOT_OK(ship(delivered, d, link));
-      stats.ship_seconds += timer.LapSeconds();
+      FR_RETURN_NOT_OK(encode_and_ship(delivered, d));
     }
   }
   // The channel fills only its own counters; the ingest-side ones were
@@ -641,15 +624,12 @@ Result<RepeatedRunStats> RunRepeated(ProtocolKind kind,
   }
   RepeatedRunStats stats;
   for (int r = 0; r < repetitions; ++r) {
-    const uint64_t workload_seed =
-        base_seed + 2 * static_cast<uint64_t>(r) + 1;
-    const uint64_t protocol_seed =
-        base_seed + 2 * static_cast<uint64_t>(r) + 2;
+    const RepetitionSeeds seeds = SeedsForRepetition(base_seed, r);
     FR_ASSIGN_OR_RETURN(Workload workload,
-                        Workload::Generate(workload_config, workload_seed));
+                        Workload::Generate(workload_config, seeds.workload));
     FR_ASSIGN_OR_RETURN(
         RunResult run,
-        RunProtocol(kind, config, workload, protocol_seed, pool,
+        RunProtocol(kind, config, workload, seeds.protocol, pool,
                     num_shards, faults));
     stats.max_abs_error.Add(run.metrics.max_abs);
     stats.mean_abs_error.Add(run.metrics.mean_abs);

@@ -160,18 +160,18 @@ Status RetransmitLoop(int64_t retransmit_budget,
                       const std::function<Result<bool>()>& attempt,
                       DeliveryMetrics* delivery);
 
-/// Ships one report batch to the aggregator, wherever it lives. `index`
-/// counts shipped batches from 0: tick t ships index t - 1 and the
-/// end-of-stream flush of delayed records index d. `channel` is the run's
-/// channel, null on an ideal transport; a shipper that retransmits passes
-/// it on so every attempt re-traverses it.
-using ShipBatchFn = std::function<Status(const core::ReportBatch& batch,
+/// Ships one encoded report batch to the aggregator, wherever it lives.
+/// `index` counts shipped batches from 0: tick t ships index t - 1 and
+/// the end-of-stream flush of delayed records index d. `channel` is the
+/// run's channel, null on an ideal transport; a shipper that retransmits
+/// passes it on so every attempt re-traverses it.
+using ShipBatchFn = std::function<Status(const std::string& pristine,
                                          int64_t index,
                                          ChannelModel* channel)>;
 
-/// Re-sends the registrations of the clients joining at the current tick.
-using ReregisterFn = std::function<Status(
-    const std::vector<core::RegistrationMessage>& joiners)>;
+/// Delivers one encoded registration batch: the fleet's registrations
+/// before tick 1, then each churn tick's joiners.
+using RegisterBatchFn = std::function<Status(const std::string& bytes)>;
 
 /// Runs after tick t's batch was shipped.
 using TickHookFn = std::function<Status(int64_t t)>;
@@ -182,8 +182,9 @@ using TickHookFn = std::function<Status(int64_t t)>;
   X(double, replay_seconds)     /* change_times -> per-tick state vector */ \
   X(double, tick_seconds)       /* ClientFleet::AdvanceTick */              \
   X(double, channel_seconds)    /* ChannelModel Transmit + FlushDelayed */  \
+  X(double, encode_seconds)     /* report batches to wire bytes */          \
   X(double, ship_seconds)       /* the ship callable */                     \
-  X(double, reregister_seconds) /* the reregister callable */               \
+  X(double, register_seconds)   /* encode + deliver registrations */        \
   X(double, after_tick_seconds) /* the after_tick hook */
 
 /// Where DriveFleet's wall time went, stage by stage, plus the reports the
@@ -199,32 +200,33 @@ struct DriveStats {
   }
 };
 
-/// The one copy of the online tick loop (Algorithms 1+2, one period per
-/// tick), shared by the in-process runner and the frload service client so
-/// the two stay bit-identical by construction, and by the throughput and
-/// shootout benches so they measure that same loop. For t = 1..d it
+/// The one copy of a run's client side (Algorithm 1, one period per tick),
+/// shared by the in-process runner and the frload service client so the
+/// two stay bit-identical by construction, and by the throughput and
+/// shootout benches so they measure that same loop. Every byte a run puts
+/// on the wire is encoded here; the callers only deliver it. First the
+/// fleet's registrations go to `register_batch`; then for t = 1..d it
 ///   1. replays each user's change_times into the state vector;
 ///   2. on churn workloads under kIdempotent, hands the registrations of
-///      the users joining at t to `reregister` (counted in
+///      the users joining at t to `register_batch` (counted in
 ///      registrations_replayed). Registration is control-plane traffic:
 ///      it never traverses the channel, so the channel's random stream and
 ///      therefore the estimates match the truncated-trace twin;
 ///   3. advances `fleet` one tick, passes the batch through the channel
 ///      (seeded ChannelSeedForRun(seed)) when faults.channel is enabled,
-///      and `ship`s what it delivered;
+///      encodes what it delivered and `ship`s the bytes;
 ///   4. calls `after_tick(t)` unless it is empty.
-/// After tick d the records the channel still delays are flushed and
-/// shipped, and the channel counters are added to `delivery`; with no
+/// After tick d the records the channel still delays are flushed, encoded
+/// and shipped, and the channel counters are added to `delivery`; with no
 /// channel, records sent = delivered = reports and batches_sent = d.
-/// `fleet` must be freshly created for `workload` with its registrations
-/// already delivered; `reregister` may be empty unless the workload churns
-/// under kIdempotent. Returns the reports emitted and the wall seconds
-/// spent in each stage.
+/// `fleet` must be freshly created for `workload`; `ship` and
+/// `register_batch` are required. Returns the reports emitted and the wall
+/// seconds spent in each stage.
 Result<DriveStats> DriveFleet(core::ClientFleet& fleet,
                               const Workload& workload,
                               const FaultOptions& faults, uint64_t seed,
                               ThreadPool* pool, const ShipBatchFn& ship,
-                              const ReregisterFn& reregister,
+                              const RegisterBatchFn& register_batch,
                               const TickHookFn& after_tick,
                               DeliveryMetrics* delivery);
 
@@ -261,9 +263,22 @@ struct RepeatedRunStats {
   int64_t repetitions = 0;
 };
 
+/// The seeds of repetition r of a repeated run, shared by RunRepeated,
+/// frsim and bench_shootout: workload seed base_seed + 2r + 1 and protocol
+/// seed base_seed + 2r + 2, both modulo 2^64.
+struct RepetitionSeeds {
+  uint64_t workload;
+  uint64_t protocol;
+};
+constexpr RepetitionSeeds SeedsForRepetition(uint64_t base_seed,
+                                             int64_t r) {
+  const uint64_t offset = 2 * static_cast<uint64_t>(r);
+  return {base_seed + offset + 1, base_seed + offset + 2};
+}
+
 /// Runs `repetitions` independent (workload, protocol) pairs and aggregates
-/// the error metrics. Repetition r uses workload seed base_seed*2r+1 and
-/// protocol seed base_seed*2r+2 (all derived deterministically).
+/// the error metrics, repetition r seeded by SeedsForRepetition(base_seed,
+/// r).
 Result<RepeatedRunStats> RunRepeated(ProtocolKind kind,
                                      const core::ProtocolConfig& config,
                                      const WorkloadConfig& workload_config,

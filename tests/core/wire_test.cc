@@ -1,5 +1,7 @@
 #include "futurerand/core/wire.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,6 +118,28 @@ TEST(ReportBatchTest, RoundTrips) {
 TEST(ReportBatchTest, RejectsInvalidValuesAtEncode) {
   EXPECT_FALSE(EncodeReportBatch({{0, 1, 0}}).ok());
   EXPECT_FALSE(EncodeReportBatch({{0, 0, 1}}).ok());  // time < 1
+}
+
+TEST(ReportBatchTest, RefusesTimeDeltasTheSignBitWouldTruncate) {
+  // The sign rides the low bit of the zigzagged time delta, so a delta
+  // whose zigzag needs all 64 bits cannot be packed. The encoder used to
+  // drop its top bit and return OK: this batch decoded to times
+  // 4611686018427387903 and 1.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const auto too_far = EncodeReportBatch({{1, kMax, 1}, {1, 1, 1}});
+  EXPECT_EQ(too_far.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncodeReportBatch({{1, int64_t{1} << 62, -1}}).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Deltas at both edges of [-2^62, 2^62) still round-trip exactly.
+  const int64_t top = (int64_t{1} << 62) - 1;
+  const std::vector<ReportMessage> edge = {
+      {1, top, 1}, {1, 2 * top, -1}, {2, 2 * top - (top + 1), 1}};
+  const auto bytes = EncodeReportBatch(edge);
+  ASSERT_TRUE(bytes.ok());
+  const auto decoded = DecodeReportBatch(*bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, edge);
 }
 
 TEST(ReportBatchTest, SortedBatchIsCompact) {

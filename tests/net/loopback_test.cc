@@ -311,6 +311,18 @@ TEST(LoopbackCheckpointTest, DeltaFileAndShutdownCompactionBothRestore) {
   // compaction; delta_checkpoints_taken is a subset of checkpoints_taken.
   EXPECT_EQ(server->stats().checkpoints_taken, 3);
   EXPECT_EQ(server->stats().delta_checkpoints_taken, 1);
+  // checkpoint_bytes counts the three blobs, not their frame headers: the
+  // frozen file frames the base and the delta, the final one the
+  // compaction. The delta is a strict part of it.
+  const auto file_bytes = [](const std::string& path) {
+    return static_cast<int64_t>(std::filesystem::file_size(path));
+  };
+  const auto header = static_cast<int64_t>(kFrameHeaderSize);
+  EXPECT_EQ(server->stats().checkpoint_bytes,
+            (file_bytes(frozen) - 2 * header) + (file_bytes(ckpt) - header));
+  EXPECT_GT(server->stats().delta_checkpoint_bytes, 0);
+  EXPECT_LT(server->stats().delta_checkpoint_bytes,
+            server->stats().checkpoint_bytes);
 
   // The frozen base+delta restores to the pre-batch-C state. Deltas are
   // keyed by shard, so this restore must match the server's shard count
@@ -383,12 +395,12 @@ TEST(LoopbackDeliveryTest, StreamBudgetExhaustionMatchesInProcessContract) {
 
 TEST(LoopbackDriveFleetTest, ChurnOverStreamMatchesRunProtocol) {
   // The shared tick loop over a socket, shipped the way frload ships it:
-  // batches round-robin over three connections, joiners re-register over
-  // the first. Churn re-registration and the end-of-stream flush of
-  // delayed records both cross the socket here, which the uniform,
-  // delay-free service smoke never does. The result must equal the
-  // in-process RunProtocol on the same seeds: estimates bit for bit and
-  // every delivery counter.
+  // batches round-robin over three connections, registrations (the
+  // fleet's, then the joiners') go over the first. Churn re-registration
+  // and the end-of-stream flush of delayed records both cross the socket
+  // here, which the uniform, delay-free service smoke never does. The
+  // result must equal the in-process RunProtocol on the same seeds:
+  // estimates bit for bit and every delivery counter.
   TempDir dir;
   const std::string sock = dir.path + "/fr.sock";
   const std::string ckpt = dir.path + "/fr.ckpt";
@@ -425,35 +437,26 @@ TEST(LoopbackDriveFleetTest, ChurnOverStreamMatchesRunProtocol) {
   core::ClientFleet fleet =
       core::ClientFleet::Create(config.protocol, workload.num_users(), seed)
           .ValueOrDie();
-  ASSERT_EQ(clients[0]
-                .Call(core::EncodeRegistrationBatch(fleet.registrations()))
-                .ValueOrDie()
-                .verdict,
-            Verdict::kAck);
 
   sim::DeliveryMetrics delivery;
   int64_t last_index = -1;
-  auto ship = [&](const core::ReportBatch& batch, int64_t index,
+  auto ship = [&](const std::string& pristine, int64_t index,
                   sim::ChannelModel* channel) -> Status {
     last_index = index;
-    FR_ASSIGN_OR_RETURN(const std::string pristine,
-                        core::EncodeReportBatch(batch));
     return DeliverEncodedOverStream(
         clients[static_cast<size_t>(index) % clients.size()], pristine,
         channel, core::WireVersion::kV2, faults.retransmit_budget,
         &delivery);
   };
-  auto reregister =
-      [&](const std::vector<core::RegistrationMessage>& joiners) -> Status {
-    FR_ASSIGN_OR_RETURN(
-        const Reply reply,
-        clients[0].Call(core::EncodeRegistrationBatch(joiners)));
+  auto register_batch = [&](const std::string& bytes) -> Status {
+    FR_ASSIGN_OR_RETURN(const Reply reply, clients[0].Call(bytes));
     return reply.verdict == Verdict::kAck
                ? Status::OK()
-               : Status::Internal("re-registration rejected");
+               : Status::Internal("registration rejected");
   };
   const auto drive = sim::DriveFleet(fleet, workload, faults, seed, nullptr,
-                                     ship, reregister, nullptr, &delivery);
+                                     ship, register_batch, nullptr,
+                                     &delivery);
   ASSERT_TRUE(drive.ok()) << drive.status().ToString();
   ASSERT_TRUE(clients[0].SendControl(ControlOp::kShutdown).ok());
   ASSERT_TRUE(server->Join().ok());

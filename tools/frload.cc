@@ -8,11 +8,12 @@
 // Runs the same tick loop as sim::RunProtocol's fleet pipelines —
 // sim::DriveFleet, with the same workload, the same fleet seeded with the
 // protocol seed and the same channel seeded with ChannelSeedForRun(seed) —
-// except each encoded batch rides an FRS stream to frserve instead of a
-// local ingest, with the server's ack/NACK verdicts driving the shared
-// retransmit policy (net::DeliverEncodedOverStream). Ticks round-robin
-// over --connections sockets; delivery is synchronous per batch, so the
-// channel's random-draw order is identical to the in-process run.
+// except each batch DriveFleet encodes rides an FRS stream to frserve
+// instead of a local ingest, with the server's ack/NACK verdicts driving
+// the shared retransmit policy (net::DeliverEncodedOverStream). Ticks
+// round-robin over --connections sockets; delivery is synchronous per
+// batch, so the channel's random-draw order is identical to the
+// in-process run.
 //
 // --verify closes the loop: after the kShutdown ack (which guarantees the
 // server's final quiesced full checkpoint exists), it restores the
@@ -192,13 +193,15 @@ int Run(int argc, char** argv) {
 
   const auto start = std::chrono::steady_clock::now();
 
-  // Registrations ship pristine over the first connection (the simulator's
-  // channel also only faults report batches) and their outcome is not
-  // counted, matching the runner. Churn joiners re-register the same way.
-  auto send_registrations =
-      [&](const std::vector<core::RegistrationMessage>& batch) -> Status {
-    FR_ASSIGN_OR_RETURN(const net::Reply reply,
-                        clients[0].Call(core::EncodeRegistrationBatch(batch)));
+  // sim::DriveFleet runs the same tick loop as the in-process runner and
+  // encodes every batch; only the delivery differs. Registrations (the
+  // fleet's, then churn joiners') ship pristine over the first connection
+  // — the simulator's channel also only faults report batches — and their
+  // outcome is not counted, matching the runner. Report batches
+  // round-robin over the connections.
+  sim::DeliveryMetrics delivery;
+  auto send_registrations = [&](const std::string& bytes) -> Status {
+    FR_ASSIGN_OR_RETURN(const net::Reply reply, clients[0].Call(bytes));
     if (reply.verdict == net::Verdict::kAck) {
       return Status::OK();
     }
@@ -207,16 +210,8 @@ int Run(int argc, char** argv) {
     message += ") — do the protocol flags and --dedup match frserve's?";
     return Status::FailedPrecondition(std::move(message));
   };
-  FRLOAD_REQUIRE_OK(send_registrations(fleet->registrations()));
-
-  // sim::DriveFleet runs the same tick loop as the in-process runner; only
-  // the shipping callables differ. Batches round-robin over the
-  // connections.
-  sim::DeliveryMetrics delivery;
-  auto ship = [&](const core::ReportBatch& batch, int64_t index,
+  auto ship = [&](const std::string& pristine, int64_t index,
                   sim::ChannelModel* channel) -> Status {
-    FR_ASSIGN_OR_RETURN(const std::string pristine,
-                        core::EncodeReportBatch(batch));
     return net::DeliverEncodedOverStream(
         clients[static_cast<size_t>(index % connections)], pristine, channel,
         core::WireVersion::kV2, faults.retransmit_budget, &delivery);

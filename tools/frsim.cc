@@ -159,16 +159,16 @@ int Run(int argc, char** argv) {
   TablePrinter table({"rep", "max_error", "mean_error", "rmse", "argmax_t",
                       "reports", "seconds"});
   for (int64_t r = 0; r < reps; ++r) {
-    const uint64_t workload_seed = static_cast<uint64_t>(seed + 2 * r + 1);
-    const uint64_t protocol_seed = static_cast<uint64_t>(seed + 2 * r + 2);
+    const sim::RepetitionSeeds seeds =
+        sim::SeedsForRepetition(static_cast<uint64_t>(seed), r);
     const auto workload =
-        sim::Workload::Generate(*workload_config, workload_seed);
+        sim::Workload::Generate(*workload_config, seeds.workload);
     if (!workload.ok()) {
       std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
       return 1;
     }
     const auto result =
-        sim::RunProtocol(*protocol, config, *workload, protocol_seed, &pool,
+        sim::RunProtocol(*protocol, config, *workload, seeds.protocol, &pool,
                          static_cast<int>(shards), *faults);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
